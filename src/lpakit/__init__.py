@@ -35,7 +35,6 @@ from .algebra import (
     ideal_span,
     make_path,
     normal_form,
-    path_element,
     vertex_element,
     vertex_sum,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "ideal_span",
     "make_path",
     "normal_form",
-    "path_element",
     "vertex_element",
     "vertex_sum",
     "EvidenceBundle",

@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .graph import Graph, Path, path_key
@@ -79,14 +78,20 @@ def monomial_key(m: Monomial) -> tuple:
     return (m.degree, path_key(m.p), path_key(m.q))
 
 
-@lru_cache(maxsize=None)
 def special_edges(g: Graph) -> dict[str, str]:
-    """The lexicographically least outgoing edge name of every non-sink."""
-    return {
-        v: min(e.name for e in g.out_edges(v))
-        for v in g.vertices
-        if not g.is_sink(v)
-    }
+    """The lexicographically least outgoing edge name of every non-sink.
+
+    Computed on first use and stored on the graph, so it is freed with it.
+    """
+    try:
+        return g._special_edges
+    except AttributeError:
+        g._special_edges = {
+            v: min(e.name for e in g.out_edges(v))
+            for v in g.vertices
+            if not g.is_sink(v)
+        }
+        return g._special_edges
 
 
 def is_basis_monomial(g: Graph, m: Monomial) -> bool:
@@ -301,10 +306,6 @@ def edge_element(g: Graph, e: str) -> Element:
 def edge_star_element(g: Graph, e: str) -> Element:
     return edge_element(g, e).star()
 
-def path_element(g: Graph, edge_names: Sequence[str]) -> Element:
-    p = g.path(edge_names)
-    return monomial_element(g, edge_names, p.target)
-
 def vertex_sum(g: Graph) -> Element:
     """The sum of all vertices: the multiplicative identity."""
     total = zero(g)
@@ -440,20 +441,6 @@ class RowSpace:
             red[pivot] = Fraction(1)
             rows.append(red)
         return rows
-
-
-def span_of(g: Graph, elements: Iterable[Element]) -> RowSpace:
-    space = RowSpace()
-    for x in elements:
-        if x.graph != g:
-            raise MixedGraphs("span over mixed graphs")
-        space.add(x.terms)
-    return space
-
-
-def element_in_span(x: Element, spanning: Sequence[Element]) -> bool:
-    """Exact membership of x in the rational span of the given elements."""
-    return span_of(x.graph, spanning).contains(x.terms)
 
 
 # -- ideals and idempotents -----------------------------------------------------

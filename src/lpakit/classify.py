@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable
+from typing import Container, Iterable
 
 from .graph import Cycle, Edge, Graph, exitless_cycles, weak_components
 
@@ -36,14 +36,6 @@ class GraphTooLarge(ClassifyError):
 
 class EmptyBaseSet(ClassifyError):
     """Balloons are only defined over a nonempty vertex set."""
-
-
-class NotHereditarySaturated(ClassifyError):
-    """Quotients exist only by hereditary and saturated subsets."""
-
-
-class QuotientEmpty(ClassifyError):
-    """Removing every vertex leaves no graph to quotient onto."""
 
 
 # -- hereditary / saturated subsets -----------------------------------------
@@ -140,14 +132,7 @@ def smallest_hs_subset(g: Graph) -> list[str] | None:
     return None
 
 
-@dataclass(frozen=True)
-class HSSubset:
-    vertices: tuple[str, ...]
-    is_hereditary: bool
-    is_saturated: bool
-
-
-def enumerate_hs_subsets(g: Graph, limit: int = HS_ENUM_LIMIT) -> list[HSSubset]:
+def enumerate_hs_subsets(g: Graph, limit: int = HS_ENUM_LIMIT) -> list[tuple[str, ...]]:
     """All nonempty proper-or-full subsets that are hereditary and saturated.
 
     Exponential by nature, so gated: graphs with more than `limit` vertices
@@ -161,7 +146,7 @@ def enumerate_hs_subsets(g: Graph, limit: int = HS_ENUM_LIMIT) -> list[HSSubset]
     for k in range(1, n + 1):
         for combo in combinations(g.vertices, k):
             if is_hereditary(g, combo) and is_saturated(g, combo):
-                out.append(HSSubset(combo, True, True))
+                out.append(combo)
     return out
 
 
@@ -222,12 +207,12 @@ def is_fork(g: Graph) -> bool:
     return all(g.is_sink(v) for v in g.vertices if v != hub)
 
 
-def _balloon_clauses(g: Graph, v: str, wset: set[str]) -> bool:
+def _balloon_clauses(g: Graph, v: str, wset: Container[str]) -> bool:
     loops = [e for e in g.out_edges(v) if e.target == v]
     if len(loops) != 1:
         return False
     loop = loops[0]
-    into_w = [e for e in g.out_edges(v) if e.target in wset]
+    into_w = [e for e in g.out_edges(v) if e.target != v and e.target in wset]
     if not into_w:
         return False
     if len(g.out_edges(v)) != 1 + len(into_w):
@@ -247,25 +232,6 @@ def find_balloons(g: Graph, ws: Iterable[str]) -> list[str]:
         g._check_vertex(v)
     wset = set(wlist)
     return [v for v in g.vertices if v not in wset and _balloon_clauses(g, v, wset)]
-
-
-def quotient_graph(g: Graph, ws: Iterable[str]) -> Graph:
-    """Remove a hereditary-saturated subset and every edge pointing into it.
-
-    Because ws is hereditary, the surviving edges have both endpoints
-    outside ws, so the result is an honest graph on the remaining vertices.
-    """
-    wlist = list(ws)
-    for v in wlist:
-        g._check_vertex(v)
-    wset = set(wlist)
-    if not (is_hereditary(g, wset) and is_saturated(g, wset)):
-        raise NotHereditarySaturated(f"{sorted(wset)} is not hereditary and saturated")
-    keep = [v for v in g.vertices if v not in wset]
-    if not keep:
-        raise QuotientEmpty("subset is the whole vertex set")
-    es = [(e.name, e.source, e.target) for e in g.edges if e.target not in wset]
-    return Graph(keep, es)
 
 
 # -- fiber stripping ----------------------------------------------------------
@@ -307,21 +273,6 @@ def detach_fiber_units(g: Graph) -> tuple[Graph | None, list[FiberUnit]]:
     return g.subgraph(keep), units
 
 
-def remove_fiber_targets(g: Graph) -> tuple[Graph | None, list[Edge]]:
-    """Gentler stripping that keeps fiber sources: drop each fiber edge and
-    its target only.  Splits off one 2x2 matrix block per fiber without
-    touching the rest of the algebra, provided each source keeps another
-    edge."""
-    fibers = find_fibers(g)
-    drop_v = {e.target for e in fibers}
-    drop_e = {e.name for e in fibers}
-    keep = [v for v in g.vertices if v not in drop_v]
-    if not keep:
-        return None, fibers
-    es = [(e.name, e.source, e.target) for e in g.edges if e.name not in drop_e]
-    return Graph(keep, es), fibers
-
-
 # -- the classifier -----------------------------------------------------------
 
 
@@ -339,24 +290,9 @@ class Classification:
     balloons: tuple[str, ...]
     fiber_units: tuple[FiberUnit, ...]
     failure_reason: FailureReason | None
-    predicted_kk_simple: bool
     simplicity: SimplicityResult
     components: tuple[tuple[str, ...], ...]
     warnings: tuple[str, ...] = field(default=())
-
-
-def _local_balloon_candidates(g: Graph) -> list[str]:
-    out = []
-    for v in g.vertices:
-        loops = [e for e in g.out_edges(v) if e.target == v]
-        if len(loops) != 1:
-            continue
-        ins = g.in_edges(v)
-        if len(ins) != 1 or ins[0] != loops[0]:
-            continue
-        if len(g.out_edges(v)) >= 2:
-            out.append(v)
-    return out
 
 
 def classify(g: Graph) -> Classification:
@@ -396,7 +332,6 @@ def classify(g: Graph) -> Classification:
             balloons=tuple(balloons),
             fiber_units=units_t,
             failure_reason=reason,
-            predicted_kk_simple=ok,
             simplicity=simplicity,
             components=comps,
             warnings=tuple(warnings),
@@ -409,7 +344,9 @@ def classify(g: Graph) -> Classification:
             "detaching fiber units removed every vertex",
         ))
 
-    candidates = _local_balloon_candidates(remainder)
+    # over the whole vertex set the balloon clauses are exactly the local test
+    everywhere = remainder.vertex_index
+    candidates = [v for v in remainder.vertices if _balloon_clauses(remainder, v, everywhere)]
     cand_set = set(candidates)
     changed = True
     while changed:  # evict candidates pointing at candidates

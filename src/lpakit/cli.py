@@ -55,7 +55,7 @@ def _read_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
-def _emit(report: dict, as_json: bool, render) -> None:
+def _emit(report: dict | list, as_json: bool, render) -> None:
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -110,7 +110,7 @@ def _classification_report(path: str | None, g: Graph, args) -> dict:
             "exitless_cycle": list(simp.exitless_cycle.edges) if simp.exitless_cycle else None,
         },
         "almost_simple": cls.almost_simple,
-        "predicted_kk_simple": cls.predicted_kk_simple,
+        "predicted_kk_simple": cls.almost_simple,
         "decomposition": {
             "core": list(cls.core),
             "balloons": list(cls.balloons),
@@ -152,7 +152,7 @@ def _render_classification(r: dict) -> list[str]:
     out.append("  fiber units: " + units)
     if r["failure_reason"]:
         out.append(f"  reason: {r['failure_reason']['kind']}: {r['failure_reason']['detail']}")
-    out.append(f"predicted skew-commutator simplicity: {'yes' if r['predicted_kk_simple'] else 'no'}")
+    out.append(f"predicted skew-commutator simplicity: {'yes' if r['almost_simple'] else 'no'}")
     ev = r["evidence"]
     if ev:
         out.append(f"evidence (truncation {ev['truncation']}):")
@@ -174,6 +174,15 @@ def _render_classification(r: dict) -> list[str]:
     return out
 
 
+def _render_corpus(reports: list[dict]) -> list[str]:
+    out: list[str] = []
+    for i, r in enumerate(reports):
+        if i:
+            out.append("")
+        out += _render_classification(r)
+    return out
+
+
 def cmd_classify(args) -> int:
     if args.corpus:
         base = FsPath(args.corpus)
@@ -181,18 +190,8 @@ def cmd_classify(args) -> int:
         if not files:
             print(f"no .graph files under {base}", file=sys.stderr)
             return 2
-        reports = []
-        for f in files:
-            g = _read_graph(str(f))
-            reports.append(_classification_report(f.name, g, args))
-        if args.json:
-            print(json.dumps(reports, indent=2, sort_keys=True))
-        else:
-            for i, r in enumerate(reports):
-                if i:
-                    print()
-                for line in _render_classification(r):
-                    print(line)
+        reports = [_classification_report(f.name, _read_graph(str(f)), args) for f in files]
+        _emit(reports, args.json, _render_corpus)
         return 0
     g = _read_graph(args.file)
     report = _classification_report(args.file, g, args)
@@ -212,7 +211,7 @@ def cmd_inspect(args) -> int:
         cycles = []
         truncated = True
     if len(g.vertices) <= HS_ENUM_LIMIT:
-        subsets = [list(s.vertices) for s in enumerate_hs_subsets(g)]
+        subsets = [list(s) for s in enumerate_hs_subsets(g)]
     else:
         subsets = None
     smallest = smallest_hs_subset(g)
@@ -313,9 +312,6 @@ def cmd_algebra(args) -> int:
         report["cycle_size"] = res.d
         report["relation_checks"] = res.relation_checks
         report["product_checks"] = res.product_checks
-    else:
-        print(f"unknown algebra question {what!r}", file=sys.stderr)
-        return 2
 
     def render(r: dict) -> list[str]:
         return [f"{k}: {v}" for k, v in r.items() if k != "images"] + (
@@ -329,6 +325,21 @@ def cmd_algebra(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="lpakit",
@@ -340,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("file", nargs="?", help="graph file")
     c.add_argument("--corpus", help="classify every *.graph file in a directory")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE,
+    c.add_argument("--truncate", type=_int_at_least(0), default=DEFAULT_TRUNCATE,
                    help=f"degree bound for evidence (default {DEFAULT_TRUNCATE})")
     c.add_argument("--witness", action="store_true",
                    help="include a nonzero bracket witness in the evidence")
@@ -351,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("inspect", help="structural facts about a graph")
     i.add_argument("file")
     i.add_argument("--json", action="store_true")
-    i.add_argument("--max-cycles", type=int, default=100)
+    i.add_argument("--max-cycles", type=_int_at_least(1), default=100)
     i.set_defaults(fn=cmd_inspect)
 
     a = sub.add_parser("algebra", help="dimensions and model checks")
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("what", nargs="?",
                    choices=["dim", "skew-dim", "bracket-dim", "m2-check", "cycle-check"])
     a.add_argument("--json", action="store_true")
-    a.add_argument("--truncate", type=int, default=DEFAULT_TRUNCATE)
+    a.add_argument("--truncate", type=_int_at_least(0), default=DEFAULT_TRUNCATE)
     a.add_argument("--fiber", help="edge name for the 2x2 model check")
     a.add_argument("--cycle-check", type=int, metavar="D",
                    help="verify the d x d Laurent matrix model of the standard cycle")

@@ -262,28 +262,6 @@ def sinks(g: Graph) -> list[str]:
     return [v for v in g.vertices if g.is_sink(v)]
 
 
-def edges_between(g: Graph, xs: Iterable[str], ys: Iterable[str]) -> list[Edge]:
-    """All edges with source in xs and range in ys, declaration order."""
-    xset, yset = set(xs), set(ys)
-    for v in xset | yset:
-        g._check_vertex(v)
-    return [e for e in g.edges if e.source in xset and e.target in yset]
-
-
-def descendants(g: Graph, v: str) -> list[str]:
-    """All vertices reachable from v (v included), declaration order."""
-    g._check_vertex(v)
-    seen = {v}
-    frontier = [v]
-    while frontier:
-        u = frontier.pop()
-        for e in g._out[u]:
-            if e.target not in seen:
-                seen.add(e.target)
-                frontier.append(e.target)
-    return [w for w in g.vertices if w in seen]
-
-
 def weak_components(g: Graph) -> list[list[str]]:
     """Weakly connected components; each component and the component list
     are ordered by declaration index."""

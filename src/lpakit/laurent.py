@@ -266,10 +266,6 @@ class LaurentMatrix:
         return f"<LaurentMatrix {body}>"
 
 
-def matrix_star(m: LaurentMatrix) -> LaurentMatrix:
-    return m.star()
-
-
 def skew_commutator_diag(f: LaurentPoly, g: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Diagonal of the commutator of the skew 2x2 matrices built from f and g.
 

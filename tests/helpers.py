@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from lpakit.algebra import Element, basis_monomials, zero
+from lpakit.algebra import Element, RowSpace, basis_monomials, zero
 from lpakit.graph import Graph, parse_graph
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -29,6 +29,14 @@ def load(name: str) -> Graph:
 
 def build(vertices, edges=()) -> Graph:
     return Graph(list(vertices), [tuple(e) for e in edges])
+
+
+def span(elements) -> RowSpace:
+    """The exact rational span of some elements, one RowSpace.add each."""
+    space = RowSpace()
+    for x in elements:
+        space.add(x.terms)
+    return space
 
 
 # -- hereditary-saturated subsets, by powerset scan ---------------------------

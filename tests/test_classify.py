@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from helpers import (
+    CORPUS,
     all_hs_subsets,
     almost_simple_oracle,
     build,
@@ -15,8 +18,6 @@ from helpers import (
 from lpakit.classify import (
     EmptyBaseSet,
     GraphTooLarge,
-    NotHereditarySaturated,
-    QuotientEmpty,
     classify,
     detach_fiber_units,
     enumerate_hs_subsets,
@@ -30,12 +31,11 @@ from lpakit.classify import (
     is_saturated,
     is_simple,
     is_vanishing_family,
-    quotient_graph,
-    remove_fiber_targets,
     saturated_closure,
     smallest_hs_subset,
     validate_classification,
 )
+from lpakit.cli import main
 from lpakit.graph import Graph
 
 
@@ -93,13 +93,12 @@ def test_smallest_hs_subset(toeplitz):
 
 
 def test_enumerate_hs_subsets_toeplitz(toeplitz):
-    got = [s.vertices for s in enumerate_hs_subsets(toeplitz)]
-    assert got == [("w",), ("v", "w")]
+    assert enumerate_hs_subsets(toeplitz) == [("w",), ("v", "w")]
 
 
 def test_enumerate_hs_subsets_matches_oracle(corpus):
     for name, g in corpus.items():
-        got = {frozenset(s.vertices) for s in enumerate_hs_subsets(g)}
+        got = {frozenset(s) for s in enumerate_hs_subsets(g)}
         want = {s for s in all_hs_subsets(g) if s}
         assert got == want, name
 
@@ -187,22 +186,6 @@ def test_find_balloons_needs_base(toeplitz):
         find_balloons(toeplitz, [])
 
 
-def test_quotient_graph(toeplitz):
-    q = quotient_graph(toeplitz, ["w"])
-    assert q.vertices == ("v",)
-    assert [e.name for e in q.edges] == ["c"]
-
-
-def test_quotient_rejects_non_hs_subset(toeplitz):
-    with pytest.raises(NotHereditarySaturated):
-        quotient_graph(toeplitz, ["v"])  # not hereditary
-
-
-def test_quotient_rejects_full_subset(toeplitz):
-    with pytest.raises(QuotientEmpty):
-        quotient_graph(toeplitz, ["v", "w"])
-
-
 def test_fiber_units_and_detachment(corpus):
     g = corpus["fiber_plus_toeplitz"]
     units = fiber_units(g)
@@ -222,12 +205,6 @@ def test_fiber_units_match_oracle(rng):
         g = random_graph(rng, max_vertices=7)
         want = [(e.source, e.name, e.target) for e in fiber_unit_edges_oracle(g)]
         assert [(u.source, u.edge, u.target) for u in fiber_units(g)] == want
-
-
-def test_remove_fiber_targets_keeps_sources(fork2):
-    rem, dropped = remove_fiber_targets(fork2)
-    assert {e.name for e in dropped} == {"e1", "e2"}
-    assert rem.vertices == ("u",) and rem.edges == ()
 
 
 # -- the classifier ---------------------------------------------------------------
@@ -302,10 +279,17 @@ def test_classify_matches_definition_oracle_on_random_graphs(rng):
         assert classify(g).almost_simple == almost_simple_oracle(g)
 
 
-def test_classify_prediction_tracks_verdict(corpus):
-    for g in corpus.values():
-        cls = classify(g)
-        assert cls.predicted_kk_simple == cls.almost_simple
+def test_classify_prediction_tracks_verdict(capsys):
+    # the report's prediction is the verdict itself, key and text line alike
+    assert main(["classify", "--corpus", str(CORPUS), "--json", "--no-evidence"]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert all(r["predicted_kk_simple"] == r["almost_simple"] for r in reports)
+    assert main(["classify", "--corpus", str(CORPUS), "--no-evidence"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("predicted")]
+    assert lines == [
+        f"predicted skew-commutator simplicity: {'yes' if r['almost_simple'] else 'no'}"
+        for r in reports
+    ]
 
 
 def test_validate_classification(corpus, rng):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from helpers import CORPUS
 
 from lpakit.cli import main
@@ -66,6 +68,14 @@ def test_classify_truncate_flag(capsys):
     ev = json.loads(out)["evidence"]
     assert ev["truncation"] == 3
     assert ev["bracket_space_dimension"] == 11
+
+
+def test_classify_rejects_negative_truncate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", str(CORPUS / "loop.graph"), "--truncate", "-3"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "usage:" in err and "--truncate: must be at least 0" in err
 
 
 def test_classify_negative_graph(capsys):
@@ -135,6 +145,14 @@ def test_inspect_max_cycles(capsys):
     assert report["cycles_truncated"] is True and report["cycles"] == []
 
 
+def test_inspect_rejects_max_cycles_below_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["inspect", str(CORPUS / "loop.graph"), "--max-cycles", "0"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "usage:" in err and "--max-cycles: must be at least 1" in err
+
+
 def test_algebra_dim(capsys):
     code, out, _ = run_cli("algebra", str(CORPUS / "fork3.graph"), "dim", "--json", capsys=capsys)
     assert code == 0
@@ -153,6 +171,14 @@ def test_algebra_skew_and_bracket_dims(capsys):
     assert code == 0 and json.loads(out)["skew_dimension"] == 7
     code, out, _ = run_cli("algebra", GRAPH, "bracket-dim", "--truncate", "3", "--json", capsys=capsys)
     assert code == 0 and json.loads(out)["bracket_space_dimension"] == 11
+
+
+def test_algebra_rejects_negative_truncate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["algebra", str(CORPUS / "loop.graph"), "skew-dim", "--truncate", "-1"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "usage:" in err and "--truncate: must be at least 0" in err
 
 
 def test_algebra_m2_check(capsys):

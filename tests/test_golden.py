@@ -1,0 +1,60 @@
+"""Byte-identity guard: the stdout of the main corpus commands, pinned by sha256.
+
+Each digest was recorded from the command line tool run at the repository
+root, so report paths read `corpus/NAME.graph`.  A change that alters any
+byte of these reports, even whitespace, fails here; if the change is
+intended, re-record the digest and say why in the change log.
+"""
+
+import hashlib
+
+import pytest
+
+from helpers import CORPUS
+
+from lpakit.cli import main
+
+CORPUS_JSON_T4 = "baf19874338db122dbd499bf3bb1d249557c3cb2202be6385b8e420572b3371e"
+CORPUS_TEXT_NO_EVIDENCE = "3ea0624cb95fc5bcca60d28af389d1dd1240caf94873039b5c15f9ff3ba178ef"
+INSPECT_JSON = "58cfee232f2382a303733fbf493a9a765329e150560537d96c0ab2b99ea55112"
+INSPECT_TEXT = "12d49a23dc2d42f33e7a43e8d96fb89c7df487a17a9909c7c75ea2ba2e3d6d16"
+
+
+@pytest.fixture
+def stdout_sha256(monkeypatch, capsys):
+    """Run each argv through the entry point at the repository root and
+    return the sha256 of their concatenated stdout."""
+    monkeypatch.chdir(CORPUS.parent)
+
+    def run(*argvs):
+        digest = hashlib.sha256()
+        for argv in argvs:
+            assert main(argv) == 0, argv
+            digest.update(capsys.readouterr().out.encode())
+        return digest.hexdigest()
+
+    return run
+
+
+def _corpus_files() -> list[str]:
+    return [f"corpus/{p.name}" for p in sorted(CORPUS.glob("*.graph"))]
+
+
+def test_corpus_classify_json_at_truncate_4(stdout_sha256):
+    argv = ["classify", "--corpus", "corpus", "--json", "--truncate", "4"]
+    assert stdout_sha256(argv) == CORPUS_JSON_T4
+
+
+def test_corpus_classify_text_without_evidence(stdout_sha256):
+    argv = ["classify", "--corpus", "corpus", "--no-evidence"]
+    assert stdout_sha256(argv) == CORPUS_TEXT_NO_EVIDENCE
+
+
+def test_inspect_every_corpus_graph_json(stdout_sha256):
+    argvs = [["inspect", f, "--json"] for f in _corpus_files()]
+    assert stdout_sha256(*argvs) == INSPECT_JSON
+
+
+def test_inspect_every_corpus_graph_text(stdout_sha256):
+    argvs = [["inspect", f] for f in _corpus_files()]
+    assert stdout_sha256(*argvs) == INSPECT_TEXT

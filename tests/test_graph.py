@@ -2,6 +2,8 @@ import pytest
 
 from helpers import build, canon_cycles, cycles_oracle, load, random_graph
 
+from lpakit.classify import hereditary_closure
+
 from lpakit.graph import (
     DuplicateName,
     EmptyGraph,
@@ -9,8 +11,6 @@ from lpakit.graph import (
     MalformedLine,
     TooManyCycles,
     UnknownVertex,
-    descendants,
-    edges_between,
     enumerate_cycles,
     exitless_cycles,
     parse_graph,
@@ -96,13 +96,8 @@ def test_sources_sinks_components():
 
 def test_descendants_follow_edges():
     g = load("path2")
-    assert descendants(g, "u") == ["u", "v", "w"]
-    assert descendants(g, "w") == ["w"]
-
-
-def test_edges_between():
-    g = load("fork2")
-    assert [e.name for e in edges_between(g, ["u"], ["w2"])] == ["e2"]
+    assert hereditary_closure(g, ["u"]) == ["u", "v", "w"]
+    assert hereditary_closure(g, ["w"]) == ["w"]
 
 
 def test_subgraph_keeps_declaration_order():

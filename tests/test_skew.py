@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_element
+from helpers import random_element, span
 
 from lpakit.algebra import (
     basis_monomials,
@@ -101,12 +101,7 @@ def test_bracket_space_dimensions_frozen(toeplitz, loop, corpus):
 def test_bracket_space_rows_live_in_bracket_span(toeplitz):
     bs = bracket_space(toeplitz, 2)
     gens = skew_basis(toeplitz, 2)
-    from lpakit.algebra import span_of
-
-    raw = span_of(
-        toeplitz,
-        [bracket(a, b) for a, b in itertools.combinations(gens, 2)],
-    )
+    raw = span(bracket(a, b) for a, b in itertools.combinations(gens, 2))
     assert bs.dimension == raw.rank
     for row in bs.basis:
         assert raw.contains(row.terms)
