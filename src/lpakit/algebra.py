@@ -25,7 +25,6 @@ Coefficients are exact rationals throughout; nothing here ever rounds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -117,19 +116,16 @@ def _extend(p: Path, edge_name: str, target: str) -> Path:
 def normal_form(
     g: Graph,
     items: Iterable[tuple[Monomial, Scalar]],
-    rng: random.Random | None = None,
 ) -> dict[Monomial, Scalar]:
     """Rewrite a linear combination of monomials onto the basis.
 
-    The optional rng picks the next work item at random instead of
-    last-in-first-out; the result is the same either way, which the test
-    suite uses as a confluence check.
+    Work items are taken last-in-first-out; the rewriting is confluent, so
+    any order gives the same result.
     """
     out: dict[Monomial, Scalar] = {}
     work = [(m, Fraction(c)) for m, c in items]
     while work:
-        i = rng.randrange(len(work)) if rng is not None else len(work) - 1
-        m, c = work.pop(i)
+        m, c = work.pop()
         if not c:
             continue
         if is_basis_monomial(g, m):
@@ -451,6 +447,11 @@ def ideal_span(g: Graph, ws: Iterable[str], n: int) -> list[Element]:
     hereditary vertex subset: the span of every monomial p q^* whose common
     range lies in the subset (normalized, so relation (4) consequences such
     as a source vertex itself may enter the span)."""
+    return [Element(g, row) for row in _ideal_space(g, ws, n).reduced_rows()]
+
+
+def _ideal_space(g: Graph, ws: Iterable[str], n: int) -> RowSpace:
+    """The RowSpace behind ideal_span, before its rows are fully reduced."""
     wlist = list(ws)
     from .classify import is_hereditary  # local import, no cycle at module load
 
@@ -468,7 +469,7 @@ def ideal_span(g: Graph, ws: Iterable[str], n: int) -> list[Element]:
                 if len(p.edges) + len(q.edges) > n:
                     continue
                 space.add(normal_form(g, [(Monomial(p, q), Fraction(1))]))
-    return [Element(g, row) for row in space.reduced_rows()]
+    return space
 
 
 def orthogonal_idempotent_family(g: Graph, ws: Iterable[str], k: int) -> list[Element]:

@@ -13,14 +13,21 @@ pictures of the commutator space [K, K]:
   an almost-simple decomposition,
 * the 2x2 matrix-unit model carried by a fiber.
 
+Every commutator of skew generators comes from one pass, _brackets, which
+evaluates each pair once in order of total degree.  The bracket space, the
+first nonzero bracket and the containment probe all read that pass, and the
+evidence bundle takes its rank and its witness from a single run of it.
+
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .algebra import (
     Element,
@@ -29,17 +36,16 @@ from .algebra import (
     dimension,
     edge_element,
     edge_star_element,
-    ideal_span,
     monomial_key,
     vertex_element,
     zero,
+    _ideal_space,
     _is_acyclic,
 )
 from .classify import (
     Classification,
     classify,
     find_fibers,
-    hereditary_closure,
     is_vanishing_family,
 )
 from .graph import Graph
@@ -100,17 +106,6 @@ class BracketSpace:
         return len(self.basis)
 
 
-def bracket_space(g: Graph, n: int) -> BracketSpace:
-    """Row-reduced span of all pairwise brackets of the skew slice."""
-    gens = skew_basis(g, n)
-    space = RowSpace()
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            space.add(bracket(gens[i], gens[j]).terms)
-    rows = tuple(Element(g, row) for row in space.reduced_rows())
-    return BracketSpace(n, rows)
-
-
 @dataclass(frozen=True)
 class BracketWitness:
     left: Element
@@ -118,20 +113,48 @@ class BracketWitness:
     value: Element
 
 
+def _brackets(gens: list[Element]) -> Iterator[BracketWitness]:
+    """Every pair gens[i], gens[j] with i < j and its commutator, each once,
+    ordered by total degree, then i, then j.
+
+    skew_basis lists generators by degree, so the pairs of total degree t
+    are each i of degree a <= t/2 against the j > i of degree t - a.
+    """
+    degs = [x.degree() for x in gens]
+    for t in range(2 * max(degs, default=0) + 1):
+        for i, a in enumerate(degs):
+            if 2 * a > t:
+                break
+            b = t - a
+            for j in range(max(i + 1, bisect_left(degs, b)), bisect_right(degs, b)):
+                yield BracketWitness(gens[i], gens[j], bracket(gens[i], gens[j]))
+
+
+def _bracket_pass(g: Graph, n: int) -> tuple[RowSpace, BracketWitness | None]:
+    """All brackets of the degree-<=n skew slice in one RowSpace, and the
+    first nonzero one."""
+    space = RowSpace()
+    witness = None
+    for w in _brackets(skew_basis(g, n)):
+        if witness is None and not w.value.is_zero():
+            witness = w
+        space.add(w.value.terms)
+    return space, witness
+
+
+def bracket_space(g: Graph, n: int) -> BracketSpace:
+    """Row-reduced span of all pairwise brackets of the skew slice."""
+    space, _ = _bracket_pass(g, n)
+    rows = tuple(Element(g, row) for row in space.reduced_rows())
+    return BracketSpace(n, rows)
+
+
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
     """The first nonvanishing commutator of skew generators, trying pairs of
     lowest total degree first."""
-    gens = skew_basis(g, n)
-    pairs = [
-        (gens[i].degree() + gens[j].degree(), i, j)
-        for i in range(len(gens))
-        for j in range(i + 1, len(gens))
-    ]
-    pairs.sort()
-    for _, i, j in pairs:
-        val = bracket(gens[i], gens[j])
-        if not val.is_zero():
-            return BracketWitness(gens[i], gens[j], val)
+    for w in _brackets(skew_basis(g, n)):
+        if not w.value.is_zero():
+            return w
     return None
 
 
@@ -210,13 +233,17 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
     if set(wlist) != set(cls.core):
         raise NotAlmostSimple(f"core is {list(cls.core)}, not {sorted(set(wlist))}")
-    ideal_rows = ideal_span(g, hereditary_closure(g, wlist), n + slack)
-    space = RowSpace()
-    for row in ideal_rows:
-        space.add(row.terms)
-    bs = bracket_space(g, n)
-    ok = all(space.contains(x.terms) for x in bs.basis)
-    return ContainmentReport(ok, bs.dimension, space.rank, n, slack)
+    return _containment(g, wlist, n, slack)
+
+
+def _containment(g: Graph, core: list[str], n: int, slack: int) -> ContainmentReport:
+    """bracket_in_ideal for a core known to be the classifier's, which is
+    hereditary: fiber units and balloons receive no edge from it.  The pivot
+    rows span the bracket space, so they are tested without reducing them."""
+    brackets, _ = _bracket_pass(g, n)
+    ideal = _ideal_space(g, core, n + slack)
+    ok = all(ideal.contains(row) for row in brackets.pivots.values())
+    return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
 
 
 @dataclass(frozen=True)
@@ -241,16 +268,15 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
     """
     cls = classify(g)
     dim = dimension(g) if _is_acyclic(g) else None
-    bs = bracket_space(g, n)
-    witness = first_nonzero_bracket(g, n)
+    space, witness = _bracket_pass(g, n)
     containment = None
     if cls.almost_simple:
-        containment = bracket_in_ideal(g, list(cls.core), 2, 2)
+        containment = _containment(g, list(cls.core), 2, 2)
     return EvidenceBundle(
         classification=cls,
         truncation=n,
         algebra_dimension=dim,
-        bracket_space_dimension=bs.dimension,
+        bracket_space_dimension=space.rank,
         vanishing_family=is_vanishing_family(g),
         witness=witness,
         ideal_containment=containment,

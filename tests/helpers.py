@@ -13,8 +13,10 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from lpakit.algebra import Element, RowSpace, basis_monomials, zero
+from lpakit.algebra import Element, Monomial, RowSpace, basis_monomials, is_basis_monomial, zero
 from lpakit.graph import Graph, parse_graph
+from lpakit.graph import Path as GraphPath
+from lpakit.skew import BracketWitness, bracket, skew_basis
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -196,6 +198,56 @@ def dimension_oracle(g: Graph) -> int:
     total = sum(paths_to(v) ** 2 for v in g.vertices)
     excluded = sum(paths_to(v) ** 2 for v in g.vertices if g.out_edges(v))
     return total - excluded
+
+
+# -- rewriting and brackets, by the slow routes ---------------------------------
+
+
+def normal_form_random_order(g: Graph, items, rng: random.Random) -> dict:
+    """Rewrite onto the basis like normal_form, but take each next work item
+    at random.  The rewriting is confluent, so every order must agree with
+    normal_form's last-in-first-out one."""
+    out: dict = {}
+    work = [(m, Fraction(c)) for m, c in items]
+    while work:
+        m, c = work.pop(rng.randrange(len(work)))
+        if not c:
+            continue
+        if is_basis_monomial(g, m):
+            acc = out.get(m, 0) + c
+            if acc:
+                out[m] = acc
+            else:
+                out.pop(m, None)
+            continue
+        f = m.p.edges[-1]
+        v = g.edge_map[f].source
+        p1 = GraphPath(m.p.source, v, m.p.edges[:-1])
+        q1 = GraphPath(m.q.source, v, m.q.edges[:-1])
+        work.append((Monomial(p1, q1), c))
+        for e in g.out_edges(v):
+            if e.name != f:
+                p2 = GraphPath(p1.source, e.target, p1.edges + (e.name,))
+                q2 = GraphPath(q1.source, e.target, q1.edges + (e.name,))
+                work.append((Monomial(p2, q2), -c))
+    return out
+
+
+def first_nonzero_bracket_oracle(g: Graph, n: int) -> BracketWitness | None:
+    """The first nonzero bracket of skew generators found by listing every
+    pair, sorting on (total degree, i, j) and evaluating in that order."""
+    gens = skew_basis(g, n)
+    pairs = [
+        (gens[i].degree() + gens[j].degree(), i, j)
+        for i in range(len(gens))
+        for j in range(i + 1, len(gens))
+    ]
+    pairs.sort()
+    for _, i, j in pairs:
+        val = bracket(gens[i], gens[j])
+        if not val.is_zero():
+            return BracketWitness(gens[i], gens[j], val)
+    return None
 
 
 # -- random instances ------------------------------------------------------------

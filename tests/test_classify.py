@@ -92,6 +92,15 @@ def test_smallest_hs_subset(toeplitz):
     assert smallest_hs_subset(load("double_edge_cycle")) == ["a", "b"]
 
 
+def test_smallest_hs_subset_matches_oracle_on_random_graphs(rng):
+    for _ in range(150):
+        g = random_graph(rng, max_vertices=7)
+        nonempty = [s for s in all_hs_subsets(g) if s]  # V is always one
+        least = [s for s in nonempty if all(s <= t for t in nonempty)]
+        got = smallest_hs_subset(g)
+        assert (set(got) if got is not None else None) == (set(least[0]) if least else None)
+
+
 def test_enumerate_hs_subsets_toeplitz(toeplitz):
     assert enumerate_hs_subsets(toeplitz) == [("w",), ("v", "w")]
 

@@ -18,6 +18,8 @@ CORPUS_JSON_T4 = "baf19874338db122dbd499bf3bb1d249557c3cb2202be6385b8e420572b337
 CORPUS_TEXT_NO_EVIDENCE = "3ea0624cb95fc5bcca60d28af389d1dd1240caf94873039b5c15f9ff3ba178ef"
 INSPECT_JSON = "58cfee232f2382a303733fbf493a9a765329e150560537d96c0ab2b99ea55112"
 INSPECT_TEXT = "12d49a23dc2d42f33e7a43e8d96fb89c7df487a17a9909c7c75ea2ba2e3d6d16"
+CORPUS_WITNESS_JSON_T1 = "5c475734a65d59ae72c37c911b34284890637413b6c355a81218b8f4e8bf791b"
+CORPUS_WITNESS_TEXT_T3 = "cb92cce58eaacb1575562a3bddd3bb3f5c6285cf1c411ba7f58871704c9e6ad3"
 
 
 @pytest.fixture
@@ -48,6 +50,18 @@ def test_corpus_classify_json_at_truncate_4(stdout_sha256):
 def test_corpus_classify_text_without_evidence(stdout_sha256):
     argv = ["classify", "--corpus", "corpus", "--no-evidence"]
     assert stdout_sha256(argv) == CORPUS_TEXT_NO_EVIDENCE
+
+
+def test_corpus_classify_witness_json_at_truncate_1(stdout_sha256):
+    # below truncation 2 the degree-2 containment probe reaches past the
+    # bracket pass of the report itself
+    argv = ["classify", "--corpus", "corpus", "--json", "--witness", "--truncate", "1"]
+    assert stdout_sha256(argv) == CORPUS_WITNESS_JSON_T1
+
+
+def test_corpus_classify_witness_text_at_truncate_3(stdout_sha256):
+    argv = ["classify", "--corpus", "corpus", "--witness", "--truncate", "3"]
+    assert stdout_sha256(argv) == CORPUS_WITNESS_TEXT_T3
 
 
 def test_inspect_every_corpus_graph_json(stdout_sha256):

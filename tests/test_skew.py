@@ -1,11 +1,14 @@
 import itertools
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_element, span
+from helpers import first_nonzero_bracket_oracle, random_element, random_graph, span
 
 from lpakit.algebra import (
+    RowSpace,
     basis_monomials,
     edge_element,
     vertex_element,
@@ -123,6 +126,59 @@ def test_first_nonzero_bracket_toeplitz(toeplitz):
 def test_first_nonzero_bracket_none_for_vanishing(corpus):
     assert first_nonzero_bracket(corpus["fork3"], 4) is None
     assert first_nonzero_bracket(corpus["loop"], 6) is None
+
+
+def test_witness_and_rank_match_the_sort_all_pairs_oracle(corpus, rng):
+    cases = [(name, g, n) for name, g in corpus.items() for n in range(5)]
+    for k in range(25):
+        g = random_graph(rng, max_vertices=5, max_edges=3)
+        cases += [(f"random {k}", g, n) for n in range(3)]
+    for name, g, n in cases:
+        want = first_nonzero_bracket_oracle(g, n)
+        bundle = lie_simplicity_evidence(g, n)
+        assert first_nonzero_bracket(g, n) == want, (name, n)
+        assert bundle.witness == want, (name, n)
+        assert bracket_space(g, n).dimension == bundle.bracket_space_dimension, (name, n)
+
+
+def _count_calls(monkeypatch, calls: Counter, owner, attr: str) -> None:
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        calls[attr] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
+    calls = Counter()
+    # the package re-exports classify(), which hides the submodule's name
+    _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "bracket")
+    _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "classify")
+    _count_calls(monkeypatch, calls, sys.modules["lpakit.classify"], "classify")
+    _count_calls(monkeypatch, calls, RowSpace, "reduced_rows")
+    for name in ("toeplitz", "balloon_core2", "double_edge_cycle", "fork2", "fiber"):
+        g = corpus[name]
+        g2 = len(skew_basis(g, 2))
+        for n in range(4):
+            gn = len(skew_basis(g, n))
+            calls.clear()
+            bundle = lie_simplicity_evidence(g, n)
+            want = gn * (gn - 1) // 2
+            if bundle.classification.almost_simple:
+                want += g2 * (g2 - 1) // 2
+            assert calls["bracket"] == want, (name, n)
+            assert calls["classify"] == 1, (name, n)
+            assert calls["reduced_rows"] == 0, (name, n)
+
+
+def test_first_nonzero_bracket_stops_early(toeplitz, monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "bracket")
+    gens = len(skew_basis(toeplitz, 4))
+    assert first_nonzero_bracket(toeplitz, 4) is not None
+    assert 0 < calls["bracket"] < gens * (gens - 1) // 2
 
 
 def test_witness_exists_for_every_almost_simple_corpus_graph(corpus):
