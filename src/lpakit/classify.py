@@ -21,9 +21,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Container, Iterable
 
-from .graph import Cycle, Edge, Graph, exitless_cycles, weak_components
+from .graph import Cycle, Edge, Graph, exitless_cycles, strong_components, weak_components
 
 HS_ENUM_LIMIT = 12
+# Upstream-most essential components per reachability pass of is_simple: the
+# bitsets of one pass take at most this many bits per component.
+TOPS_PER_PASS = 4096
 
 
 class ClassifyError(Exception):
@@ -80,19 +83,28 @@ def hereditary_closure(g: Graph, xs: Iterable[str]) -> list[str]:
 
 
 def saturated_closure(g: Graph, xs: Iterable[str]) -> list[str]:
-    """Least fixpoint of the saturation rule alone (no hereditary step)."""
+    """Least fixpoint of the saturation rule alone (no hereditary step).
+
+    One worklist pass, O(V + E): each vertex outside W counts its out-edges
+    not yet into W, and a vertex joins W when its count reaches zero.  Every
+    member of W lowers the counts of its in-neighbours once.
+    """
     wset = set(xs)
     for v in wset:
         g._check_vertex(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in g.vertices:
-            if v in wset or g.is_sink(v):
+    missing: dict[str, int] = {}  # out-edges not yet into W, once touched
+    work = list(wset)
+    while work:
+        u = work.pop()
+        for e in g._in[u]:
+            s = e.source
+            if s in wset:
                 continue
-            if all(e.target in wset for e in g.out_edges(v)):
-                wset.add(v)
-                changed = True
+            left = missing.get(s, len(g._out[s])) - 1
+            missing[s] = left
+            if not left:
+                wset.add(s)
+                work.append(s)
     return _ordered(g, wset)
 
 
@@ -104,24 +116,56 @@ def hs_closure(g: Graph, xs: Iterable[str]) -> list[str]:
     its edges point into the set.  Both rules are forced for any
     hereditary-saturated superset, so the result is the intersection of
     all of them.
+
+    A vertex u stays outside the closure exactly when a path avoiding the
+    hereditary closure H leads from u to a sink or a cycle; a sink or cycle
+    outside H is such a u itself, since H contains every descendant of its
+    members.  So hs_closure({v}) is V exactly when v reaches every essential
+    strongly connected component: every sink and every component that
+    carries a cycle.  Both passes are linear.
     """
     return saturated_closure(g, hereditary_closure(g, xs))
+
+
+def _condensation(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
+    """The strongly connected components of g as a DAG.
+
+    Returns the component of each vertex (by declaration index), the
+    components each component has an edge into, and which components are
+    essential: a sink vertex, or a component carrying a cycle (a loop
+    included).  Components are numbered successors first.
+    """
+    comp = strong_components(g)
+    idx = g.vertex_index
+    succ: list[list[int]] = [[] for _ in range(max(comp) + 1)]
+    essential = [False] * len(succ)
+    for v in g.vertices:
+        if not g._out[v]:
+            essential[comp[idx[v]]] = True
+    for e in g.edges:
+        a, b = comp[idx[e.source]], comp[idx[e.target]]
+        if a == b:
+            essential[a] = True
+        else:
+            succ[a].append(b)
+    return comp, succ, essential
 
 
 def smallest_hs_subset(g: Graph) -> list[str] | None:
     """The least nonempty hereditary-saturated subset, or None.
 
-    Every nonempty hereditary-saturated W contains hs_closure({v}) for each
-    v in W, so the candidate is the intersection of the singleton closures.
-    An intersection of hereditary-saturated sets is again one, so the
-    candidate qualifies exactly when it is nonempty.
+    Every vertex reaches a terminal strongly connected component, one with
+    no edge leaving it.  A nonempty hereditary-saturated W contains all
+    descendants of its members, so it contains a whole terminal component.
+    With two or more terminal components, the closures of two of them are
+    disjoint and there is no least subset.  With exactly one, T, every such
+    W contains hs_closure(T), which is hs_closure of any one vertex of T.
     """
-    common = set(g.vertices)
-    for v in g.vertices:
-        common &= set(hs_closure(g, [v]))
-        if not common:
-            return None
-    return _ordered(g, common)
+    comp, succ, _ = _condensation(g)
+    terminal = [c for c, out in enumerate(succ) if not out]
+    if len(terminal) > 1:
+        return None
+    return hs_closure(g, [g.vertices[comp.index(terminal[0])]])
 
 
 def enumerate_hs_subsets(g: Graph, limit: int = HS_ENUM_LIMIT) -> list[tuple[str, ...]]:
@@ -152,19 +196,52 @@ class SimplicityResult:
     exitless_cycle: Cycle | None = None
 
 
+def _unreaching_vertex(g: Graph) -> str | None:
+    """The first declared vertex that misses some essential component.
+
+    Reaching every essential component is the same as reaching every
+    upstream-most one, which no other essential component reaches: each
+    essential component lies below an upstream-most one.  So reachability is
+    tracked as bitsets over the upstream-most components only, filled in
+    successors first, TOPS_PER_PASS components per pass.
+    """
+    comp, succ, essential = _condensation(g)
+    reached = [False] * len(succ)  # reached from some other essential one
+    for c in reversed(range(len(succ))):  # predecessors first
+        if reached[c] or essential[c]:
+            for d in succ[c]:
+                reached[d] = True
+    tops = [c for c in range(len(succ)) if essential[c] and not reached[c]]
+    misses = [False] * len(succ)
+    for lo in range(0, len(tops), TOPS_PER_PASS):
+        bit = {c: 1 << i for i, c in enumerate(tops[lo:lo + TOPS_PER_PASS])}
+        full = (1 << len(bit)) - 1
+        reach = [0] * len(succ)
+        for c, out in enumerate(succ):
+            r = bit.get(c, 0)
+            for d in out:
+                r |= reach[d]
+            reach[c] = r
+            if r != full:
+                misses[c] = True
+    return next((v for v, c in zip(g.vertices, comp) if misses[c]), None)
+
+
 def is_simple(g: Graph) -> SimplicityResult:
     """Simplicity test with certificate.
 
     Simple means: no proper nonempty hereditary-saturated subset, and every
     cycle has an exit.  The first condition is equivalent to every singleton
-    closure hs_closure({v}) being all of V, which avoids subset enumeration.
-    On failure the certificate is the offending subset or cycle.
+    closure hs_closure({v}) being all of V, that is, to every vertex reaching
+    every essential strongly connected component (see hs_closure).  That
+    fails exactly when there are two or more essential components.  On
+    failure the certificate is hs_closure of the first declared vertex that
+    misses one, or else the first cycle without an exit.  Linear apart from
+    the bitsets of _unreaching_vertex.
     """
-    all_v = set(g.vertices)
-    for v in g.vertices:
-        cl = hs_closure(g, [v])
-        if set(cl) != all_v:
-            return SimplicityResult(False, proper_hs_subset=tuple(cl))
+    v = _unreaching_vertex(g)
+    if v is not None:
+        return SimplicityResult(False, proper_hs_subset=tuple(hs_closure(g, [v])))
     bad = exitless_cycles(g)
     if bad:
         return SimplicityResult(False, exitless_cycle=bad[0])

@@ -270,21 +270,73 @@ def weak_components(g: Graph) -> list[list[str]]:
     for start in g.vertices:
         if start in seen:
             continue
-        comp = {start}
+        seen.add(start)
+        comp = [start]
         frontier = [start]
         while frontier:
             u = frontier.pop()
             for e in g._out[u]:
-                if e.target not in comp:
-                    comp.add(e.target)
+                if e.target not in seen:
+                    seen.add(e.target)
+                    comp.append(e.target)
                     frontier.append(e.target)
             for e in g._in[u]:
-                if e.source not in comp:
-                    comp.add(e.source)
+                if e.source not in seen:
+                    seen.add(e.source)
+                    comp.append(e.source)
                     frontier.append(e.source)
-        seen |= comp
-        comps.append([v for v in g.vertices if v in comp])
+        comp.sort(key=g.vertex_index.__getitem__)
+        comps.append(comp)
     return comps
+
+
+def strong_components(g: Graph) -> list[int]:
+    """The strongly connected component of each vertex, by declaration index.
+
+    Tarjan's algorithm, with an explicit stack instead of recursion so that
+    long paths do not exhaust the interpreter's stack.  Components are
+    numbered in the order Tarjan completes them, which is reverse
+    topological: an edge between two components runs from the higher number
+    to the lower.
+    """
+    idx = g.vertex_index
+    succ = [[idx[e.target] for e in g._out[v]] for v in g.vertices]
+    n = len(succ)
+    order = [-1] * n  # discovery number, -1 while unvisited
+    low = [0] * n
+    comp = [-1] * n  # -1 while unvisited or still on the Tarjan stack
+    stack: list[int] = []
+    visited = done = 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, todo = calls[-1]
+            for w in todo:
+                if order[w] < 0:
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    calls.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                calls.pop()
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = done
+                        if w == v:
+                            break
+                    done += 1
+    return comp
 
 
 # -- cycles -----------------------------------------------------------------

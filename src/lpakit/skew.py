@@ -130,21 +130,31 @@ def _brackets(gens: list[Element]) -> Iterator[BracketWitness]:
                 yield BracketWitness(gens[i], gens[j], bracket(gens[i], gens[j]))
 
 
-def _bracket_pass(g: Graph, n: int) -> tuple[RowSpace, BracketWitness | None]:
+def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketWitness | None, RowSpace]:
     """All brackets of the degree-<=n skew slice in one RowSpace, and the
-    first nonzero one."""
+    first nonzero one.
+
+    The brackets of two generators of degree <= probe also go into a second
+    RowSpace, which is the first one itself when probe >= n.  Those
+    generators are the prefix skew_basis(g, probe), and the pairs among them
+    come in the same order, so for probe <= n the second RowSpace is the
+    first one of _bracket_pass(g, probe).
+    """
     space = RowSpace()
+    low = space if probe >= n else RowSpace()
     witness = None
     for w in _brackets(skew_basis(g, n)):
         if witness is None and not w.value.is_zero():
             witness = w
         space.add(w.value.terms)
-    return space, witness
+        if low is not space and w.right.degree() <= probe:  # right's degree >= left's
+            low.add(w.value.terms)
+    return space, witness, low
 
 
 def bracket_space(g: Graph, n: int) -> BracketSpace:
     """Row-reduced span of all pairwise brackets of the skew slice."""
-    space, _ = _bracket_pass(g, n)
+    space = _bracket_pass(g, n)[0]
     rows = tuple(Element(g, row) for row in space.reduced_rows())
     return BracketSpace(n, rows)
 
@@ -233,14 +243,14 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
     if set(wlist) != set(cls.core):
         raise NotAlmostSimple(f"core is {list(cls.core)}, not {sorted(set(wlist))}")
-    return _containment(g, wlist, n, slack)
+    return _containment(g, wlist, _bracket_pass(g, n)[0], n, slack)
 
 
-def _containment(g: Graph, core: list[str], n: int, slack: int) -> ContainmentReport:
+def _containment(g: Graph, core: list[str], brackets: RowSpace, n: int, slack: int) -> ContainmentReport:
     """bracket_in_ideal for a core known to be the classifier's, which is
-    hereditary: fiber units and balloons receive no edge from it.  The pivot
-    rows span the bracket space, so they are tested without reducing them."""
-    brackets, _ = _bracket_pass(g, n)
+    hereditary: fiber units and balloons receive no edge from it, and for
+    the brackets of the degree-<=n skew slice.  The pivot rows span the
+    bracket space, so they are tested without reducing them."""
     ideal = _ideal_space(g, core, n + slack)
     ok = all(ideal.contains(row) for row in brackets.pivots.values())
     return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
@@ -268,10 +278,15 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
     """
     cls = classify(g)
     dim = dimension(g) if _is_acyclic(g) else None
-    space, witness = _bracket_pass(g, n)
+    # the probe's degree-2 generators are a prefix of the degree-n ones, so
+    # for n >= 2 the main pass evaluates the probe's brackets as well
+    probe = 2 if cls.almost_simple and n >= 2 else -1
+    space, witness, low = _bracket_pass(g, n, probe)
     containment = None
     if cls.almost_simple:
-        containment = _containment(g, list(cls.core), 2, 2)
+        if probe < 0:
+            low = _bracket_pass(g, 2)[0]
+        containment = _containment(g, list(cls.core), low, 2, 2)
     return EvidenceBundle(
         classification=cls,
         truncation=n,

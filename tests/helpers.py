@@ -13,8 +13,11 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from lpakit.algebra import Element, Monomial, RowSpace, basis_monomials, is_basis_monomial, zero
-from lpakit.graph import Graph, parse_graph
+from lpakit.classify import SimplicityResult, hereditary_closure
+from lpakit.graph import Graph, exitless_cycles, parse_graph
 from lpakit.graph import Path as GraphPath
 from lpakit.skew import BracketWitness, bracket, skew_basis
 
@@ -75,6 +78,71 @@ def hs_closure_oracle(g: Graph, xs) -> frozenset:
         if base <= s:
             acc &= s
     return acc
+
+
+# -- the classifier, by per-vertex closures --------------------------------------
+#
+# The quadratic-to-cubic routes the linear classifier replaced: a saturation
+# that rescans V until nothing changes, one closure per vertex for
+# simplicity, and an intersection of every singleton closure.
+
+
+def saturated_closure_rescan(g: Graph, xs) -> list[str]:
+    wset = set(xs)
+    changed = True
+    while changed:
+        changed = False
+        for v in g.vertices:
+            if v in wset or not g.out_edges(v):
+                continue
+            if all(e.target in wset for e in g.out_edges(v)):
+                wset.add(v)
+                changed = True
+    return [v for v in g.vertices if v in wset]
+
+
+def hs_closure_rescan(g: Graph, xs) -> list[str]:
+    return saturated_closure_rescan(g, hereditary_closure(g, xs))
+
+
+def is_simple_per_vertex(g: Graph) -> SimplicityResult:
+    """Certificate: the closure of the first vertex whose closure is not V."""
+    for v in g.vertices:
+        cl = hs_closure_rescan(g, [v])
+        if set(cl) != set(g.vertices):
+            return SimplicityResult(False, proper_hs_subset=tuple(cl))
+    bad = exitless_cycles(g)
+    if bad:
+        return SimplicityResult(False, exitless_cycle=bad[0])
+    return SimplicityResult(True)
+
+
+def smallest_hs_subset_by_intersection(g: Graph) -> list[str] | None:
+    """The intersection of all singleton closures, when it is nonempty."""
+    common = set(g.vertices)
+    for v in g.vertices:
+        common &= set(hs_closure_rescan(g, [v]))
+    return [v for v in g.vertices if v in common] or None
+
+
+def weak_components_rescan(g: Graph) -> list[list[str]]:
+    """Each component listed by one scan of all of V."""
+    seen: set[str] = set()
+    comps = []
+    for start in g.vertices:
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for w in [e.target for e in g.out_edges(u)] + [e.source for e in g.in_edges(u)]:
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        comps.append([v for v in g.vertices if v in comp])
+    return comps
 
 
 # -- cycles, by exhaustive walks ----------------------------------------------
@@ -282,3 +350,37 @@ def random_element(g: Graph, rng: random.Random, degree: int = 2, terms: int = 3
         m = pool[rng.randrange(len(pool))]
         x = x + Element.from_terms(g, [(m, Fraction(rng.randint(-3, 3)))])
     return x
+
+
+@st.composite
+def multigraphs(draw, max_vertices: int = 8, max_edges: int = 12) -> Graph:
+    """Random multigraphs (loops and parallel edges allowed) in a random
+    declaration order.  Failing cases shrink towards fewer vertices and
+    edges."""
+    n = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=max_edges))
+    order = draw(st.permutations(vs))
+    return Graph(order, [(f"e{j}", vs[a], vs[b]) for j, (a, b) in enumerate(pairs)])
+
+
+@st.composite
+def block_graphs(draw) -> Graph:
+    """Cycles (loops among them), further vertices and sinks, joined by
+    random edges that never leave a sink: graphs with several strongly
+    connected components and many sinks, which few uniform random graphs
+    have."""
+    vs: list[str] = []
+    es: list[tuple[str, str, str]] = []
+    for k, size in enumerate(draw(st.lists(st.integers(1, 3), max_size=3))):
+        ring = [f"c{k}_{i}" for i in range(size)]
+        vs += ring
+        es += [(f"r{k}_{i}", u, ring[(i + 1) % size]) for i, u in enumerate(ring)]
+    vs += [f"t{i}" for i in range(draw(st.integers(0, 3)))]
+    emitters = len(vs)
+    vs += [f"s{i}" for i in range(draw(st.integers(0 if vs else 1, 6)))]
+    if emitters:
+        pairs = st.tuples(st.integers(0, emitters - 1), st.integers(0, len(vs) - 1))
+        es += [(f"x{j}", vs[a], vs[b]) for j, (a, b) in enumerate(draw(st.lists(pairs, max_size=10)))]
+    return Graph(draw(st.permutations(vs)), es)

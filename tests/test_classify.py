@@ -1,23 +1,33 @@
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CORPUS,
     all_hs_subsets,
     almost_simple_oracle,
+    block_graphs,
     build,
     fiber_unit_edges_oracle,
     hs_closure_oracle,
+    hs_closure_rescan,
     hs_oracle,
+    is_simple_per_vertex,
     load,
+    multigraphs,
     random_graph,
+    saturated_closure_rescan,
     simple_oracle,
+    smallest_hs_subset_by_intersection,
 )
 
 from lpakit.classify import (
     EmptyBaseSet,
     GraphTooLarge,
+    SimplicityResult,
     classify,
     detach_fiber_units,
     enumerate_hs_subsets,
@@ -155,6 +165,56 @@ def test_is_simple_matches_oracle_on_random_graphs(rng):
     for _ in range(200):
         g = random_graph(rng, max_vertices=7)
         assert is_simple(g).simple == simple_oracle(g)
+
+
+# -- the linear classifier against the per-vertex routes it replaced -----------------
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(multigraphs() | block_graphs(), st.data())
+def test_classifier_matches_per_vertex_oracles(g, data):
+    # whole results: the certificate subset or cycle, and the subset itself
+    assert is_simple(g) == is_simple_per_vertex(g)
+    assert smallest_hs_subset(g) == smallest_hs_subset_by_intersection(g)
+    for v in g.vertices:
+        assert hs_closure(g, [v]) == hs_closure_rescan(g, [v])
+    xs = data.draw(st.lists(st.sampled_from(g.vertices), unique=True))
+    assert saturated_closure(g, xs) == saturated_closure_rescan(g, xs)
+
+
+def test_is_simple_splits_reachability_into_passes(rng, monkeypatch):
+    # one upstream-most essential component per bitset pass
+    monkeypatch.setattr(sys.modules["lpakit.classify"], "TOPS_PER_PASS", 1)
+    for _ in range(200):
+        g = random_graph(rng, max_vertices=8)
+        assert is_simple(g) == is_simple_per_vertex(g)
+
+
+def test_classifier_scales_without_recursion():
+    # 2 x 10^4 vertices: far past the interpreter's recursion limit, and
+    # hopeless for one closure per vertex
+    n = 20_000
+    vs = [f"v{i}" for i in range(n)]
+    chain = [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
+
+    path = Graph(vs, chain)
+    assert is_simple(path) == SimplicityResult(True)
+    assert smallest_hs_subset(path) == vs
+    cls = classify(path)
+    assert cls.almost_simple and cls.core == tuple(vs)
+
+    cycle = Graph(vs + ["out"], chain + [("back", vs[-1], vs[0]), ("exit", vs[0], "out")])
+    assert is_simple(cycle) == SimplicityResult(False, proper_hs_subset=("out",))
+    assert smallest_hs_subset(cycle) == ["out"]
+    cls = classify(cycle)
+    assert cls.failure_reason.detail == "proper hereditary-saturated subset ['out']"
+
+    # every path vertex reaches both sinks, so only a sink's closure is proper
+    fork = Graph(vs + ["a", "b"], chain + [("fa", vs[-1], "a"), ("fb", vs[-1], "b")])
+    assert is_simple(fork) == SimplicityResult(False, proper_hs_subset=("a",))
+    assert smallest_hs_subset(fork) is None
+    cls = classify(fork)
+    assert cls.failure_reason.detail == "proper hereditary-saturated subset ['a']"
 
 
 # -- fibers, forks, balloons -------------------------------------------------------

@@ -1,6 +1,17 @@
-import pytest
+import random
 
-from helpers import build, canon_cycles, cycles_oracle, load, random_graph
+import pytest
+from hypothesis import given, settings
+
+from helpers import (
+    build,
+    canon_cycles,
+    cycles_oracle,
+    load,
+    multigraphs,
+    random_graph,
+    weak_components_rescan,
+)
 
 from lpakit.classify import hereditary_closure
 
@@ -18,6 +29,7 @@ from lpakit.graph import (
     serialize_graph,
     sinks,
     sources,
+    strong_components,
     weak_components,
 )
 
@@ -92,6 +104,30 @@ def test_sources_sinks_components():
     assert sources(g) == ["u"]
     assert sinks(g) == ["w", "w2"]
     assert weak_components(g) == [["u", "w"], ["v2", "w2"]]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(multigraphs())
+def test_components_match_their_definitions(g):
+    assert weak_components(g) == weak_components_rescan(g)
+    comp = strong_components(g)
+    below = {v: set(hereditary_closure(g, [v])) for v in g.vertices}
+    for i, u in enumerate(g.vertices):
+        for j, v in enumerate(g.vertices):
+            assert (comp[i] == comp[j]) == (v in below[u] and u in below[v])
+    idx = g.vertex_index
+    assert all(comp[idx[e.source]] >= comp[idx[e.target]] for e in g.edges)
+
+
+def test_weak_components_with_thousands_of_components():
+    rng = random.Random(4)
+    vs = [f"v{i}" for i in range(5000)]
+    es = [(f"e{i}", rng.choice(vs), rng.choice(vs)) for i in range(2000)]
+    rng.shuffle(vs)
+    g = Graph(vs, es)
+    comps = weak_components(g)
+    assert len(comps) > 2000
+    assert comps == weak_components_rescan(g)
 
 
 def test_descendants_follow_edges():

@@ -139,6 +139,9 @@ def test_witness_and_rank_match_the_sort_all_pairs_oracle(corpus, rng):
         assert first_nonzero_bracket(g, n) == want, (name, n)
         assert bundle.witness == want, (name, n)
         assert bracket_space(g, n).dimension == bundle.bracket_space_dimension, (name, n)
+        if bundle.ideal_containment is not None:
+            core = list(bundle.classification.core)
+            assert bundle.ideal_containment == bracket_in_ideal(g, core, 2, 2), (name, n)
 
 
 def _count_calls(monkeypatch, calls: Counter, owner, attr: str) -> None:
@@ -166,7 +169,8 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
             calls.clear()
             bundle = lie_simplicity_evidence(g, n)
             want = gn * (gn - 1) // 2
-            if bundle.classification.almost_simple:
+            # the degree-2 probe reuses the main pass's brackets once n >= 2
+            if bundle.classification.almost_simple and n < 2:
                 want += g2 * (g2 - 1) // 2
             assert calls["bracket"] == want, (name, n)
             assert calls["classify"] == 1, (name, n)
