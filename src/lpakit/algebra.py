@@ -21,12 +21,20 @@ most one reducible junction the result does not depend on the order in
 which terms are processed.
 
 Coefficients are exact rationals throughout; nothing here ever rounds.
+Element carries Fraction coefficients.  The bracket and ideal passes run on
+an integer core instead: a MonomialTable numbers the monomials of one call
+with ids in canonical order and memoises their normal forms with int
+coefficients, and RowSpace reduces int vectors over those ids without
+fractions.  Fraction enters only where results cross back into Elements:
+MonomialTable.element and RowSpace.reduced_rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Iterable, Sequence
 
 from .graph import Graph, Path, path_key
@@ -377,50 +385,193 @@ def dimension(g: Graph) -> int:
     return len(basis_monomials(g, None))
 
 
-# -- exact row reduction -------------------------------------------------------
+# -- the integer core ------------------------------------------------------------
+
+
+class MonomialTable:
+    """Integer ids for the monomials met by one computation over one graph.
+
+    A path is a plain tuple (source, *edge names) and a monomial p q^* the
+    pair of its paths.  Its id is an int whose order is monomial_key order:
+    with B = max(|V|, |E|, 2), a vertex path's code is the rank of its name
+    among the vertex names and an edge path's is the number with digits
+    1, rank(e_1), ..., rank(e_L) in base B, so codes order by length and
+    then by the names; a monomial of degree d with codes a, b gets
+    (w + a) w + b with w = 2 B^(d+1), which exceeds every code of length
+    <= d, so ids order by degree, then a, then b.
+
+    Normal forms have int coefficients: rewriting a monomial only ever
+    produces coefficients 1 and -1, so no Fraction is needed inside.
+    Fractions enter at the Element boundary, in element and in
+    RowSpace.reduced_rows.  A table grows with every monomial it meets; it
+    belongs to the call that created it and to the RowSpaces built on it,
+    and is never stored on the graph.
+    """
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._base = max(len(g.vertices), len(g.edges), 2)
+        self._vertex_rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+        self._edge_rank = {name: i for i, name in enumerate(sorted(g.edge_map))}
+        self._source = {e.name: e.source for e in g.edges}
+        self._target = {e.name: e.target for e in g.edges}
+        self._special = special_edges(g)
+        self._other_edges = {
+            v: tuple(e.name for e in g.out_edges(v) if e.name != f)
+            for v, f in self._special.items()
+        }
+        self._paths: dict[int, tuple] = {}
+        self._codes: dict[tuple, int] = {}
+        self._normal: dict[int, dict[int, int]] = {}
+        self._path_objects: dict[tuple, Path] = {}
+
+    def _code(self, p: tuple) -> int:
+        code = self._codes.get(p)
+        if code is None:
+            if len(p) == 1:
+                code = self._vertex_rank[p[0]]
+            else:
+                code = 1
+                for e in p[1:]:
+                    code = code * self._base + self._edge_rank[e]
+            self._codes[p] = code
+        return code
+
+    def id(self, p: tuple, q: tuple) -> int:
+        """The id of p q^*; the paths must share their range."""
+        w = 2 * self._base ** (len(p) + len(q) - 1)
+        k = (w + self._code(p)) * w + self._code(q)
+        if k not in self._paths:
+            self._paths[k] = (p, q)
+        return k
+
+    def star(self, k: int) -> int:
+        """The id of (p q^*)^* = q p^*."""
+        p, q = self._paths[k]
+        return self.id(q, p)
+
+    def intern(self, m: Monomial) -> int:
+        return self.id((m.p.source,) + m.p.edges, (m.q.source,) + m.q.edges)
+
+    def _path(self, p: tuple) -> Path:
+        path = self._path_objects.get(p)
+        if path is None:
+            path = Path(p[0], self._target[p[-1]] if len(p) > 1 else p[0], p[1:])
+            self._path_objects[p] = path
+        return path
+
+    def monomial(self, k: int) -> Monomial:
+        p, q = self._paths[k]
+        return Monomial(self._path(p), self._path(q))
+
+    def element(self, vec: dict[int, int]) -> Element:
+        return Element(self.graph, {self.monomial(k): Fraction(c) for k, c in vec.items()})
+
+    def normal_form(self, k: int) -> dict[int, int]:
+        """The basis expansion of monomial k; callers must not mutate it.
+
+        A monomial whose paths both end with the special edge f of v is
+        p1 q1^* minus p1 e (q1 e)^* over the other edges e leaving v, and
+        those are basis monomials.  Only such expansions are memoised: a
+        basis monomial's is {k: 1}, built afresh, which keeps the table small.
+        """
+        nf = self._normal.get(k)
+        if nf is None:
+            p, q = self._paths[k]
+            f = p[-1]
+            if len(p) == 1 or len(q) == 1 or q[-1] != f or self._special[self._source[f]] != f:
+                return {k: 1}
+            p1, q1 = p[:-1], q[:-1]
+            nf = dict(self.normal_form(self.id(p1, q1)))
+            for e in self._other_edges[self._source[f]]:
+                nf[self.id(p1 + (e,), q1 + (e,))] = -1
+            self._normal[k] = nf
+        return nf
+
+    def product(self, a: int, b: int) -> dict[int, int] | None:
+        """The normal form of the product of monomials a and b, or None when
+        the product vanishes (see _raw_mul)."""
+        p1, q1 = self._paths[a]
+        p2, q2 = self._paths[b]
+        n1, n2 = len(q1), len(p2)
+        if n1 <= n2:
+            if p2[:n1] != q1:
+                return None
+            return self.normal_form(self.id(p1 + p2[n1:], q2))
+        if q1[:n2] != p2:
+            return None
+        return self.normal_form(self.id(p1, q2 + q1[n2:]))
 
 
 class RowSpace:
-    """Incremental Gaussian elimination over sparse rational vectors keyed
-    by monomials.  Rows are normalized to pivot coefficient 1, pivots are
-    the least monomials of their rows, so reduction is canonical."""
+    """Incremental fraction-free Gaussian elimination over sparse integer
+    vectors keyed by the ids of one MonomialTable.
 
-    def __init__(self):
-        self.pivots: dict[Monomial, dict[Monomial, Scalar]] = {}
+    Every pivot row is primitive (its entries have gcd 1), its pivot is its
+    least id and its pivot coefficient is positive.  A residue is reduced in
+    increasing id order, taken from a heap; a step against a pivot row with
+    lead L scales the residue by L / gcd(L, c) only when L is not 1, so
+    nothing is ever divided and the rank is exact (Bareiss 1968).
+    """
 
-    def _residue(self, vec: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-        res = {m: Fraction(c) for m, c in vec.items() if c}
-        out: dict[Monomial, Scalar] = {}
-        while res:
-            m = min(res, key=monomial_key)
-            c = res.pop(m)
-            if not c:
+    def __init__(self, table: MonomialTable):
+        self.table = table
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def _residue(self, vec: dict[int, int]) -> dict[int, int]:
+        """vec reduced against every pivot row, up to a positive factor; its
+        ids come out in increasing order."""
+        res = {k: c for k, c in vec.items() if c}
+        heap = list(res)
+        heapify(heap)
+        pivots = self.pivots
+        out: dict[int, int] = {}
+        while heap:
+            k = heappop(heap)
+            c = res.get(k)
+            if c is None:  # cancelled, or a second heap entry for k
                 continue
-            row = self.pivots.get(m)
+            row = pivots.get(k)
             if row is None:
-                out[m] = c
+                out[k] = res.pop(k)
                 continue
-            for m2, c2 in row.items():
-                if m2 == m:
-                    continue
-                acc = res.get(m2, 0) - c * c2
-                if acc:
-                    res[m2] = acc
+            lead = row[k]
+            if lead != 1:
+                g = gcd(c, lead)
+                c //= g
+                s = lead // g
+                if s != 1:
+                    for x in res:
+                        res[x] *= s
+                    for x in out:
+                        out[x] *= s
+            # the pivot's own entry cancels c; every other entry is above k
+            for k2, c2 in row.items():
+                acc = res.get(k2)
+                if acc is None:
+                    res[k2] = -c * c2
+                    heappush(heap, k2)
                 else:
-                    res.pop(m2, None)
+                    acc -= c * c2
+                    if acc:
+                        res[k2] = acc
+                    else:
+                        del res[k2]
         return out
 
-    def add(self, vec: dict[Monomial, Scalar]) -> bool:
+    def add(self, vec: dict[int, int]) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
         res = self._residue(vec)
         if not res:
             return False
-        pivot = min(res, key=monomial_key)
-        lead = res[pivot]
-        self.pivots[pivot] = {m: c / lead for m, c in res.items()}
+        pivot = next(iter(res))
+        g = gcd(*res.values())
+        if res[pivot] < 0:
+            g = -g
+        self.pivots[pivot] = {k: c // g for k, c in res.items()}
         return True
 
-    def contains(self, vec: dict[Monomial, Scalar]) -> bool:
+    def contains(self, vec: dict[int, int]) -> bool:
         return not self._residue(vec)
 
     @property
@@ -428,14 +579,49 @@ class RowSpace:
         return len(self.pivots)
 
     def reduced_rows(self) -> list[dict[Monomial, Scalar]]:
-        """The unique fully reduced basis, ordered by pivot monomial."""
+        """The unique fully reduced basis, ordered by pivot monomial, as
+        rational rows with pivot coefficient 1.
+
+        Rows are reduced from the highest pivot down, so every pivot column
+        in a row's tail is cleared once, by a row that is already fully
+        reduced and so brings in no further pivot column.
+        """
+        done: dict[int, dict[int, int]] = {}
+        for pivot in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[pivot])
+            for k in [k for k in row if k != pivot and k in done]:
+                c = row.pop(k)
+                other = done[k]
+                lead = other[k]
+                if lead != 1:
+                    g = gcd(c, lead)
+                    c //= g
+                    s = lead // g
+                    if s != 1:
+                        for x in row:
+                            row[x] *= s
+                for k2, c2 in other.items():
+                    if k2 != k:
+                        acc = row.get(k2, 0) - c * c2
+                        if acc:
+                            row[k2] = acc
+                        else:
+                            row.pop(k2, None)
+            g = gcd(*row.values())
+            done[pivot] = {k: c // g for k, c in row.items()}
+        monomial = self.table.monomial
+        fractions: dict[tuple[int, int], Fraction] = {}
         rows = []
-        for pivot in sorted(self.pivots, key=monomial_key):
-            row = self.pivots[pivot]
-            tail = {m: c for m, c in row.items() if m != pivot}
-            red = self._residue(tail)
-            red[pivot] = Fraction(1)
-            rows.append(red)
+        for pivot in sorted(done):
+            row = done[pivot]
+            lead = row[pivot]
+            out = {}
+            for k, c in sorted(row.items()):
+                x = fractions.get((c, lead))
+                if x is None:
+                    x = fractions[c, lead] = Fraction(c, lead)
+                out[monomial(k)] = x
+            rows.append(out)
         return rows
 
 
@@ -447,28 +633,30 @@ def ideal_span(g: Graph, ws: Iterable[str], n: int) -> list[Element]:
     hereditary vertex subset: the span of every monomial p q^* whose common
     range lies in the subset (normalized, so relation (4) consequences such
     as a source vertex itself may enter the span)."""
-    return [Element(g, row) for row in _ideal_space(g, ws, n).reduced_rows()]
+    return [Element(g, row) for row in _ideal_space(MonomialTable(g), ws, n).reduced_rows()]
 
 
-def _ideal_space(g: Graph, ws: Iterable[str], n: int) -> RowSpace:
-    """The RowSpace behind ideal_span, before its rows are fully reduced."""
+def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
+    """The RowSpace behind ideal_span, before its rows are fully reduced,
+    with its rows keyed by the ids of the given table."""
+    g = table.graph
     wlist = list(ws)
     from .classify import is_hereditary  # local import, no cycle at module load
 
     if not is_hereditary(g, wlist):
         raise NotHereditary(f"{sorted(set(wlist))} is not hereditary")
     wset = set(wlist)
-    by_range: dict[str, list[Path]] = {}
+    by_range: dict[str, list[tuple]] = {}
     for p in paths_up_to(g, n):
         if p.target in wset:
-            by_range.setdefault(p.target, []).append(p)
-    space = RowSpace()
+            by_range.setdefault(p.target, []).append((p.source,) + p.edges)
+    space = RowSpace(table)
     for v in g.vertices:
         for p in by_range.get(v, ()):
             for q in by_range.get(v, ()):
-                if len(p.edges) + len(q.edges) > n:
+                if len(p) + len(q) - 2 > n:
                     continue
-                space.add(normal_form(g, [(Monomial(p, q), Fraction(1))]))
+                space.add(table.normal_form(table.id(p, q)))
     return space
 
 

@@ -110,17 +110,17 @@ class Graph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
-        self.vertices: tuple[str, ...] = tuple(vertices)
-        if not self.vertices:
+        vs = tuple(vertices)
+        if not vs:
             raise EmptyGraph("a graph needs at least one vertex")
         seen: set[str] = set()
-        for v in self.vertices:
+        for v in vs:
             if not NAME_RE.match(v):
                 raise MalformedLine(0, v, "bad vertex name")
             if v in seen:
                 raise DuplicateName(f"vertex {v!r} declared twice")
             seen.add(v)
-        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
+        known = set(seen)
 
         es = []
         for name, src, dst in edges:
@@ -129,13 +129,20 @@ class Graph:
             if name in seen:
                 raise DuplicateName(f"name {name!r} declared twice")
             seen.add(name)
-            if src not in self.vertex_index:
+            if src not in known:
                 raise UnknownVertex(f"edge {name!r}: unknown source {src!r}")
-            if dst not in self.vertex_index:
+            if dst not in known:
                 raise UnknownVertex(f"edge {name!r}: unknown range {dst!r}")
             es.append(Edge(name, src, dst))
-        self.edges: tuple[Edge, ...] = tuple(es)
-        self.edge_map: dict[str, Edge] = {e.name: e for e in self.edges}
+        self._index(vs, tuple(es))
+
+    def _index(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
+        """Build the lookup tables from vertices and edges already known to
+        be valid."""
+        self.vertices: tuple[str, ...] = vertices
+        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(vertices)}
+        self.edges: tuple[Edge, ...] = edges
+        self.edge_map: dict[str, Edge] = {e.name: e for e in edges}
 
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -202,17 +209,22 @@ class Graph:
         return Path(es[0].source, es[-1].target, tuple(e.name for e in es))
 
     def subgraph(self, keep: Iterable[str]) -> "Graph":
-        """Induced subgraph on the given vertices, declaration order preserved."""
+        """Induced subgraph on the given vertices, declaration order preserved.
+
+        Its names were validated when this graph was built, so the subgraph
+        is indexed without validating them again.
+        """
         keep_set = set(keep)
         for v in keep_set:
             self._check_vertex(v)
-        vs = [v for v in self.vertices if v in keep_set]
-        es = [
-            (e.name, e.source, e.target)
-            for e in self.edges
-            if e.source in keep_set and e.target in keep_set
-        ]
-        return Graph(vs, es)
+        if not keep_set:
+            raise EmptyGraph("a graph needs at least one vertex")
+        sub = Graph.__new__(Graph)
+        sub._index(
+            tuple(v for v in self.vertices if v in keep_set),
+            tuple(e for e in self.edges if e.source in keep_set and e.target in keep_set),
+        )
+        return sub
 
 
 # -- parsing and serialization -------------------------------------------

@@ -18,6 +18,13 @@ evaluates each pair once in order of total degree.  The bracket space, the
 first nonzero bracket and the containment probe all read that pass, and the
 evidence bundle takes its rank and its witness from a single run of it.
 
+The pass runs on algebra's integer core.  A generator is the pair of ids of
+m and m^* in a MonomialTable made for the call, a bracket is an int vector
+over ids (_generator_bracket), and the vectors go into fraction-free
+RowSpaces on the same table, as do the rows of the ideal slice that the
+containment probe tests them against.  Elements are built only for what is
+returned: the witness and the reduced rows of bracket_space.
+
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
 """
@@ -31,6 +38,7 @@ from typing import Iterator
 
 from .algebra import (
     Element,
+    MonomialTable,
     RowSpace,
     basis_monomials,
     dimension,
@@ -113,13 +121,38 @@ class BracketWitness:
     value: Element
 
 
-def _brackets(gens: list[Element]) -> Iterator[BracketWitness]:
-    """Every pair gens[i], gens[j] with i < j and its commutator, each once,
-    ordered by total degree, then i, then j.
+def _generator_bracket(table: MonomialTable, x: tuple[int, int], y: tuple[int, int]) -> dict[int, int]:
+    """[m - m^*, n - n^*] as an id vector, for x = (m, m^*) and y = (n, n^*).
+
+    Both generators are skew, so yx = (xy)^* and [x, y] = xy - (xy)^*: the
+    four raw monomial products of xy, summed with their signs, and their
+    stars.
+    """
+    (a, sa), (b, sb) = x, y
+    product, star = table.product, table.star
+    acc: dict[int, int] = {}
+    for u, v, sign in ((a, b, 1), (a, sb, -1), (sa, b, -1), (sa, sb, 1)):
+        nf = product(u, v)
+        if nf:
+            for k, c in nf.items():
+                c *= sign
+                acc[k] = acc.get(k, 0) + c
+                k = star(k)
+                acc[k] = acc.get(k, 0) - c
+    return {k: c for k, c in acc.items() if c}
+
+
+def _brackets(table: MonomialTable, gens: list[Element]) -> Iterator[tuple[int, int, dict[int, int]]]:
+    """Every pair gens[i], gens[j] with i < j and the id vector of their
+    commutator, each once, ordered by total degree, then i, then j.
 
     skew_basis lists generators by degree, so the pairs of total degree t
     are each i of degree a <= t/2 against the j > i of degree t - a.
     """
+    ids = []
+    for x in gens:
+        m, ms = sorted(x.terms, key=x.terms.__getitem__, reverse=True)
+        ids.append((table.intern(m), table.intern(ms)))
     degs = [x.degree() for x in gens]
     for t in range(2 * max(degs, default=0) + 1):
         for i, a in enumerate(degs):
@@ -127,7 +160,7 @@ def _brackets(gens: list[Element]) -> Iterator[BracketWitness]:
                 break
             b = t - a
             for j in range(max(i + 1, bisect_left(degs, b)), bisect_right(degs, b)):
-                yield BracketWitness(gens[i], gens[j], bracket(gens[i], gens[j]))
+                yield i, j, _generator_bracket(table, ids[i], ids[j])
 
 
 def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketWitness | None, RowSpace]:
@@ -138,17 +171,21 @@ def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketW
     RowSpace, which is the first one itself when probe >= n.  Those
     generators are the prefix skew_basis(g, probe), and the pairs among them
     come in the same order, so for probe <= n the second RowSpace is the
-    first one of _bracket_pass(g, probe).
+    first one of _bracket_pass(g, probe).  Both share one MonomialTable.
     """
-    space = RowSpace()
-    low = space if probe >= n else RowSpace()
+    table = MonomialTable(g)
+    space = RowSpace(table)
+    low = space if probe >= n else RowSpace(table)
+    gens = skew_basis(g, n)
     witness = None
-    for w in _brackets(skew_basis(g, n)):
-        if witness is None and not w.value.is_zero():
-            witness = w
-        space.add(w.value.terms)
-        if low is not space and w.right.degree() <= probe:  # right's degree >= left's
-            low.add(w.value.terms)
+    for i, j, vec in _brackets(table, gens):
+        if not vec:
+            continue
+        if witness is None:
+            witness = BracketWitness(gens[i], gens[j], table.element(vec))
+        space.add(vec)
+        if low is not space and gens[j].degree() <= probe:  # j's degree >= i's
+            low.add(vec)
     return space, witness, low
 
 
@@ -162,9 +199,11 @@ def bracket_space(g: Graph, n: int) -> BracketSpace:
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
     """The first nonvanishing commutator of skew generators, trying pairs of
     lowest total degree first."""
-    for w in _brackets(skew_basis(g, n)):
-        if not w.value.is_zero():
-            return w
+    table = MonomialTable(g)
+    gens = skew_basis(g, n)
+    for i, j, vec in _brackets(table, gens):
+        if vec:
+            return BracketWitness(gens[i], gens[j], table.element(vec))
     return None
 
 
@@ -243,15 +282,17 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
     if set(wlist) != set(cls.core):
         raise NotAlmostSimple(f"core is {list(cls.core)}, not {sorted(set(wlist))}")
-    return _containment(g, wlist, _bracket_pass(g, n)[0], n, slack)
+    return _containment(wlist, _bracket_pass(g, n)[0], n, slack)
 
 
-def _containment(g: Graph, core: list[str], brackets: RowSpace, n: int, slack: int) -> ContainmentReport:
+def _containment(core: list[str], brackets: RowSpace, n: int, slack: int) -> ContainmentReport:
     """bracket_in_ideal for a core known to be the classifier's, which is
     hereditary: fiber units and balloons receive no edge from it, and for
     the brackets of the degree-<=n skew slice.  The pivot rows span the
-    bracket space, so they are tested without reducing them."""
-    ideal = _ideal_space(g, core, n + slack)
+    bracket space, so they are tested without reducing them, and the ideal's
+    rows are built on the brackets' MonomialTable, so both are keyed by the
+    same ids."""
+    ideal = _ideal_space(brackets.table, core, n + slack)
     ok = all(ideal.contains(row) for row in brackets.pivots.values())
     return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
 
@@ -286,7 +327,7 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
     if cls.almost_simple:
         if probe < 0:
             low = _bracket_pass(g, 2)[0]
-        containment = _containment(g, list(cls.core), low, 2, 2)
+        containment = _containment(list(cls.core), low, 2, 2)
     return EvidenceBundle(
         classification=cls,
         truncation=n,

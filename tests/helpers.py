@@ -10,16 +10,30 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from bisect import bisect_left, bisect_right
 from itertools import combinations
+from math import lcm
 from pathlib import Path
 
 from hypothesis import strategies as st
 
-from lpakit.algebra import Element, Monomial, RowSpace, basis_monomials, is_basis_monomial, zero
-from lpakit.classify import SimplicityResult, hereditary_closure
+from lpakit.algebra import (
+    Element,
+    Monomial,
+    MonomialTable,
+    NotHereditary,
+    RowSpace,
+    basis_monomials,
+    is_basis_monomial,
+    monomial_key,
+    normal_form,
+    paths_up_to,
+    zero,
+)
+from lpakit.classify import SimplicityResult, hereditary_closure, is_hereditary
 from lpakit.graph import Graph, exitless_cycles, parse_graph
 from lpakit.graph import Path as GraphPath
-from lpakit.skew import BracketWitness, bracket, skew_basis
+from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -36,9 +50,38 @@ def build(vertices, edges=()) -> Graph:
     return Graph(list(vertices), [tuple(e) for e in edges])
 
 
-def span(elements) -> RowSpace:
-    """The exact rational span of some elements, one RowSpace.add each."""
-    space = RowSpace()
+class ElementSpan:
+    """The package's integer RowSpace fed with Elements: each rational term
+    map is scaled by the lcm of its denominators and keyed by the ids of the
+    space's own MonomialTable."""
+
+    def __init__(self, g: Graph):
+        self.table = MonomialTable(g)
+        self.space = RowSpace(self.table)
+
+    def _ids(self, terms: dict) -> dict[int, int]:
+        scale = lcm(*(Fraction(c).denominator for c in terms.values()))
+        return {self.table.intern(m): int(c * scale) for m, c in terms.items()}
+
+    def add(self, terms: dict) -> bool:
+        return self.space.add(self._ids(terms))
+
+    def contains(self, terms: dict) -> bool:
+        return self.space.contains(self._ids(terms))
+
+    @property
+    def rank(self) -> int:
+        return self.space.rank
+
+    def reduced_rows(self) -> list[dict]:
+        return self.space.reduced_rows()
+
+
+def span(elements) -> ElementSpan:
+    """The exact rational span of some elements of one graph, one
+    RowSpace.add each."""
+    elements = list(elements)
+    space = ElementSpan(elements[0].graph)
     for x in elements:
         space.add(x.terms)
     return space
@@ -316,6 +359,123 @@ def first_nonzero_bracket_oracle(g: Graph, n: int) -> BracketWitness | None:
         if not val.is_zero():
             return BracketWitness(gens[i], gens[j], val)
     return None
+
+
+# -- the bracket and ideal passes, over Monomial keys and Fractions ---------------
+#
+# The routes the integer core replaced: Gaussian elimination over rational
+# vectors keyed by Monomial, with the pivot found by a min scan, and brackets
+# evaluated as products of Elements.
+
+
+class FractionRowSpace:
+    """Incremental Gaussian elimination over sparse rational vectors keyed
+    by monomials.  Rows are normalized to pivot coefficient 1, pivots are
+    the least monomials of their rows, so reduction is canonical."""
+
+    def __init__(self):
+        self.pivots: dict[Monomial, dict[Monomial, Fraction]] = {}
+
+    def _residue(self, vec: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        res = {m: Fraction(c) for m, c in vec.items() if c}
+        out: dict[Monomial, Fraction] = {}
+        while res:
+            m = min(res, key=monomial_key)
+            c = res.pop(m)
+            if not c:
+                continue
+            row = self.pivots.get(m)
+            if row is None:
+                out[m] = c
+                continue
+            for m2, c2 in row.items():
+                if m2 == m:
+                    continue
+                acc = res.get(m2, 0) - c * c2
+                if acc:
+                    res[m2] = acc
+                else:
+                    res.pop(m2, None)
+        return out
+
+    def add(self, vec: dict[Monomial, Fraction]) -> bool:
+        res = self._residue(vec)
+        if not res:
+            return False
+        pivot = min(res, key=monomial_key)
+        lead = res[pivot]
+        self.pivots[pivot] = {m: c / lead for m, c in res.items()}
+        return True
+
+    def contains(self, vec: dict[Monomial, Fraction]) -> bool:
+        return not self._residue(vec)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduced_rows(self) -> list[dict[Monomial, Fraction]]:
+        rows = []
+        for pivot in sorted(self.pivots, key=monomial_key):
+            row = self.pivots[pivot]
+            tail = {m: c for m, c in row.items() if m != pivot}
+            red = self._residue(tail)
+            red[pivot] = Fraction(1)
+            rows.append(red)
+        return rows
+
+
+def element_brackets(gens: list[Element]):
+    """Every pair i < j of generators and their Element commutator, ordered
+    by total degree, then i, then j."""
+    degs = [x.degree() for x in gens]
+    for t in range(2 * max(degs, default=0) + 1):
+        for i, a in enumerate(degs):
+            if 2 * a > t:
+                break
+            b = t - a
+            for j in range(max(i + 1, bisect_left(degs, b)), bisect_right(degs, b)):
+                yield BracketWitness(gens[i], gens[j], bracket(gens[i], gens[j]))
+
+
+def bracket_pass_oracle(g: Graph, n: int, probe: int = -1):
+    """Every bracket of the degree-<=n skew slice as an Element, in one
+    FractionRowSpace; the first nonzero one; and the span of the brackets of
+    generators of degree <= probe."""
+    space, low, witness = FractionRowSpace(), FractionRowSpace(), None
+    for w in element_brackets(skew_basis(g, n)):
+        if witness is None and not w.value.is_zero():
+            witness = w
+        space.add(w.value.terms)
+        if w.right.degree() <= probe:
+            low.add(w.value.terms)
+    return space, witness, low
+
+
+def ideal_space_oracle(g: Graph, ws, n: int) -> FractionRowSpace:
+    """The degree-<=n slice of the ideal of a hereditary subset, spanned by
+    the normal forms of its monomials p q^*."""
+    wset = set(ws)
+    if not is_hereditary(g, list(wset)):
+        raise NotHereditary(f"{sorted(wset)} is not hereditary")
+    space = FractionRowSpace()
+    paths = [p for p in paths_up_to(g, n) if p.target in wset]
+    for p in paths:
+        for q in paths:
+            if p.target == q.target and len(p.edges) + len(q.edges) <= n:
+                space.add(normal_form(g, [(Monomial(p, q), Fraction(1))]))
+    return space
+
+
+def containment_oracle(g: Graph, core, n: int, slack: int) -> ContainmentReport:
+    brackets = bracket_pass_oracle(g, n)[0]
+    ideal = ideal_space_oracle(g, core, n + slack)
+    ok = all(ideal.contains(row) for row in brackets.pivots.values())
+    return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
+
+
+def rows_as_elements(g: Graph, space) -> tuple[Element, ...]:
+    return tuple(Element(g, row) for row in space.reduced_rows())
 
 
 # -- random instances ------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    FractionRowSpace,
     dimension_oracle,
     load,
     normal_form_random_order,
@@ -281,6 +282,30 @@ def test_rowspace_reduced_rows_are_canonical(rng, toeplitz):
     ra = [sorted(r.items(), key=lambda kv: monomial_key(kv[0])) for r in a.reduced_rows()]
     rb = [sorted(r.items(), key=lambda kv: monomial_key(kv[0])) for r in b.reduced_rows()]
     assert ra == rb  # insertion order cannot matter
+
+
+def test_rowspace_matches_the_fraction_oracle(rng, corpus):
+    # integer coefficients up to 3 give pivot rows with leads 2 and 3, so
+    # the residue is scaled as well as reduced
+    for name in ("toeplitz", "two_balloons", "parallel_fork"):
+        g = corpus[name]
+        for _ in range(10):
+            xs = [random_element(g, rng, terms=4) for _ in range(8)]
+            fast, slow = span(xs[:5]), FractionRowSpace()
+            for x in xs[:5]:
+                slow.add(x.terms)
+            assert fast.rank == slow.rank
+            assert fast.reduced_rows() == slow.reduced_rows()
+            for x in xs[5:] + xs[:2]:
+                assert fast.contains(x.terms) == slow.contains(x.terms)
+
+
+def test_rowspace_reduces_against_a_pivot_with_lead_two(fork2):
+    e1, e2 = edge_element(fork2, "e1"), edge_element(fork2, "e2")
+    space = span([2 * e1 + e2, e1 + e2])
+    assert space.rank == 2
+    assert [dict(r) for r in space.reduced_rows()] == [e1.terms, e2.terms]
+    assert not span([2 * e1 + e2]).contains(e1.terms)
 
 
 def test_element_in_span(fork2):
