@@ -20,7 +20,7 @@ special; the rewriting therefore terminates, and since a monomial has at
 most one reducible junction the result does not depend on the order in
 which terms are processed.
 
-Coefficients are exact rationals throughout; nothing here ever rounds.
+Coefficients are exact throughout; nothing here ever rounds.
 Element carries Fraction coefficients.  The bracket and ideal passes run on
 an integer core instead: a MonomialTable numbers the monomials of one call
 with ids in canonical order and memoises their normal forms with int
