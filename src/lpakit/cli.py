@@ -52,15 +52,18 @@ DEFAULT_TRUNCATE = 4
 
 def _read_graph(path: str) -> Graph:
     try:
-        text = FsPath(path).read_text()
-    except OSError as exc:
+        text = FsPath(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
     return parse_graph(text)
 
 
 def _emit(report: dict | list, as_json: bool, render) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # streamed: with indent, json encodes in pure Python, and dumps would
+        # join every chunk of a large report into one string first
+        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     else:
         for line in render(report):
             print(line)
@@ -352,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="almost-simple decomposition with evidence")
-    c.add_argument("file", nargs="?", help="graph file")
-    c.add_argument("--corpus", help="classify every *.graph file in a directory")
+    source = c.add_mutually_exclusive_group()
+    source.add_argument("file", nargs="?", help="graph file")
+    source.add_argument("--corpus", help="classify every *.graph file in a directory")
     c.add_argument("--json", action="store_true")
     c.add_argument("--truncate", type=_int_at_least(0), default=DEFAULT_TRUNCATE,
                    help=f"degree bound for evidence (default {DEFAULT_TRUNCATE})")

@@ -17,6 +17,7 @@ round-trip exactly.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -305,21 +306,29 @@ def weak_components(g: Graph) -> list[list[str]]:
 def strong_components(g: Graph) -> list[int]:
     """The strongly connected component of each vertex, by declaration index.
 
-    Tarjan's algorithm, with an explicit stack instead of recursion so that
-    long paths do not exhaust the interpreter's stack.  Components are
-    numbered in the order Tarjan completes them, which is reverse
-    topological: an edge between two components runs from the higher number
-    to the lower.
+    Components are numbered in the order Tarjan completes them, which is
+    reverse topological: an edge between two components runs from the
+    higher number to the lower.
     """
     idx = g.vertex_index
-    succ = [[idx[e.target] for e in g._out[v]] for v in g.vertices]
+    return _tarjan([[idx[e.target] for e in g._out[v]] for v in g.vertices])
+
+
+def _tarjan(succ: list[list[int]], lo: int = 0) -> list[int]:
+    """Tarjan's algorithm on the vertices lo..len(succ)-1 and the edges
+    between them; vertices below lo get component -1.
+
+    It keeps an explicit stack instead of recursing, so that long paths do
+    not exhaust the interpreter's stack.  Roots and successors are taken in
+    index order, and components are numbered as they complete.
+    """
     n = len(succ)
     order = [-1] * n  # discovery number, -1 while unvisited
     low = [0] * n
     comp = [-1] * n  # -1 while unvisited or still on the Tarjan stack
     stack: list[int] = []
     visited = done = 0
-    for root in range(n):
+    for root in range(lo, n):
         if order[root] >= 0:
             continue
         order[root] = low[root] = visited
@@ -329,6 +338,8 @@ def strong_components(g: Graph) -> list[int]:
         while calls:
             v, todo = calls[-1]
             for w in todo:
+                if w < lo:
+                    continue
                 if order[w] < 0:
                     order[w] = low[w] = visited
                     visited += 1
@@ -395,26 +406,130 @@ def enumerate_cycles(g: Graph, max_count: int) -> list[Cycle]:
     """All simple cycles (distinct source vertices; parallel edges give
     distinct cycles), each rotated to start at its least-declared vertex.
 
-    Raises TooManyCycles as soon as more than max_count are found.
+    Cycles are grouped by that start vertex, in declaration order; within a
+    group they come in depth-first order, out-edges taken in declaration
+    order.  Raises TooManyCycles when there are more than max_count.
+
+    Johnson's algorithm (SIAM J. Comput. 4(1), 1975), run inside each
+    strongly connected component, takes O((V + E)(C + 1)) time for C
+    cycles, so the cap stops it within O((V + E) max_count).  Cycle objects
+    are built only after the search has ended under the cap.
     """
     if max_count < 1:
         raise ValueError("max_count must be at least 1")
-    out: list[Cycle] = []
-    idx = g.vertex_index
+    comp = strong_components(g)
+    size = Counter(comp)
+    members: dict[int, list[str]] = {}
+    groups: list[tuple[int, list[tuple[str, ...]]]] = []
+    left = max_count
+    for i, (v, c) in enumerate(zip(g.vertices, comp)):
+        if size[c] > 1:
+            members.setdefault(c, []).append(v)
+            continue
+        found = [(e.name,) for e in g._out[v] if e.target == v]
+        if found:
+            if len(found) > left:
+                raise TooManyCycles(f"more than {max_count} cycles")
+            left -= len(found)
+            groups.append((i, found))
+    for vs in members.values():
+        for start, found in _component_cycles(g, vs, left, max_count):
+            left -= len(found)
+            groups.append((g.vertex_index[start], found))
+    groups.sort(key=lambda grp: grp[0])
+    return [Cycle(edges, tuple(g.edge_map[x].source for x in edges))
+            for _, found in groups for edges in found]
 
-    def dfs(start: str, v: str, edge_trail: list[str], visited: set[str]) -> None:
-        for e in g._out[v]:
-            if e.target == start:
-                if len(out) >= max_count:
-                    raise TooManyCycles(f"more than {max_count} cycles")
-                cyc_edges = edge_trail + [e.name]
-                verts = tuple(g.edge_map[x].source for x in cyc_edges)
-                out.append(Cycle(tuple(cyc_edges), verts))
-            elif e.target not in visited and idx[e.target] > idx[start]:
-                visited.add(e.target)
-                dfs(start, e.target, edge_trail + [e.name], visited)
-                visited.remove(e.target)
 
-    for start in g.vertices:
-        dfs(start, start, [], {start})
+def _local_arcs(g: Graph, vs: list[str]) -> tuple[list[list[int]], list[list[str]]]:
+    """The edges among vs, numbering vs by position: the targets and the
+    names of each vertex's out-edges, in declaration order.  A function of
+    its own so that the name map is freed before the search starts."""
+    local = {v: i for i, v in enumerate(vs)}
+    outs = [[e for e in g._out[v] if e.target in local] for v in vs]
+    return [[local[e.target] for e in es] for es in outs], [[e.name for e in es] for es in outs]
+
+
+def _component_cycles(g: Graph, vs: list[str], left: int,
+                      max_count: int) -> list[tuple[str, list[tuple[str, ...]]]]:
+    """Johnson's outer loop over one strongly connected component, whose
+    vertices vs are in declaration order: the cycles of each start vertex,
+    as edge-name tuples.  Raises TooManyCycles past `left` cycles in all.
+
+    The next start is the least vertex, at or after the current one, that
+    lies in a nontrivial component of the subgraph those vertices induce.
+    """
+    targets, names = _local_arcs(g, vs)
+    n = len(vs)
+    out: list[tuple[str, list[tuple[str, ...]]]] = []
+    s = 0
+    while s < n:
+        comp = _tarjan(targets, s)
+        size = Counter(comp)
+        s = next((v for v in range(s, n) if size[comp[v]] > 1 or v in targets[v]), n)
+        if s == n:
+            break
+        found = _circuits(targets, names, comp, s, left, max_count)
+        left -= len(found)
+        out.append((vs[s], found))
+        s += 1
     return out
+
+
+def _circuits(targets: list[list[int]], names: list[list[str]], comp: list[int],
+              s: int, left: int, max_count: int) -> list[tuple[str, ...]]:
+    """Johnson's blocking search for the cycles through s inside comp[s],
+    on an explicit stack.  A vertex stays blocked while every path from it
+    back to s meets the stack; blist[w] holds the vertices to unblock with w.
+
+    The stack is kept as parallel lists of small ints, since on a large
+    component it can hold every vertex.
+    """
+    k = comp[s]
+    blocked = [False] * len(targets)
+    blist: dict[int, list[int]] = {}
+    found: list[tuple[str, ...]] = []
+    path = [s]
+    trail: list[str] = []  # the edge names along path
+    next_edge = [0]  # per path vertex, the position of its next out-edge
+    closed = [False]  # per path vertex, whether a cycle was found below it
+    blocked[s] = True
+    while path:
+        v = path[-1]
+        ts = targets[v]
+        for i in range(next_edge[-1], len(ts)):
+            w = ts[i]
+            if w == s:
+                if len(found) == left:
+                    raise TooManyCycles(f"more than {max_count} cycles")
+                trail.append(names[v][i])
+                found.append(tuple(trail))
+                trail.pop()
+                closed[-1] = True
+            elif comp[w] == k and not blocked[w]:
+                next_edge[-1] = i + 1
+                blocked[w] = True
+                trail.append(names[v][i])
+                path.append(w)
+                next_edge.append(0)
+                closed.append(False)
+                break
+        else:
+            path.pop()
+            next_edge.pop()
+            if closed.pop():
+                work = [v]
+                while work:
+                    u = work.pop()
+                    if blocked[u]:
+                        blocked[u] = False
+                        work.extend(blist.pop(u, ()))
+                if path:
+                    closed[-1] = True
+            else:
+                for w in ts:
+                    if comp[w] == k:
+                        blist.setdefault(w, []).append(v)
+            if path:
+                trail.pop()
+    return found

@@ -31,7 +31,7 @@ from lpakit.algebra import (
     zero,
 )
 from lpakit.classify import SimplicityResult, hereditary_closure, is_hereditary
-from lpakit.graph import Graph, exitless_cycles, parse_graph
+from lpakit.graph import Cycle, Graph, TooManyCycles, exitless_cycles, parse_graph
 from lpakit.graph import Path as GraphPath
 from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
 
@@ -212,6 +212,32 @@ def cycles_oracle(g: Graph) -> set[tuple]:
     for v in g.vertices:
         walk(v, v, {v}, [])
     return found
+
+
+def enumerate_cycles_dfs(g: Graph, max_count: int) -> list[Cycle]:
+    """enumerate_cycles by one recursive depth-first search per start
+    vertex, through later-declared vertices only: the same cycles in the
+    same order, and TooManyCycles exactly when there are more than
+    max_count.  Recursion depth grows with the cycle length."""
+    out: list[Cycle] = []
+    idx = g.vertex_index
+
+    def dfs(start: str, v: str, edge_trail: list[str], visited: set[str]) -> None:
+        for e in g.out_edges(v):
+            if e.target == start:
+                if len(out) >= max_count:
+                    raise TooManyCycles(f"more than {max_count} cycles")
+                cyc_edges = edge_trail + [e.name]
+                verts = tuple(g.edge_map[x].source for x in cyc_edges)
+                out.append(Cycle(tuple(cyc_edges), verts))
+            elif e.target not in visited and idx[e.target] > idx[start]:
+                visited.add(e.target)
+                dfs(start, e.target, edge_trail + [e.name], visited)
+                visited.remove(e.target)
+
+    for start in g.vertices:
+        dfs(start, start, [], {start})
+    return out
 
 
 def canon_cycles(cycles) -> set[tuple]:

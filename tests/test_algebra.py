@@ -4,11 +4,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     FractionRowSpace,
     dimension_oracle,
     load,
+    multigraphs,
     normal_form_random_order,
     random_acyclic_graph,
     random_element,
@@ -129,6 +132,21 @@ def test_normal_form_is_confluent_under_random_strategies(toeplitz, fork2):
             rng,
         )
         assert again == baseline
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=7), st.data())
+def test_normal_form_agrees_with_random_rewriting_orders(g, data):
+    paths = paths_up_to(g, 2)
+    items = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        p = data.draw(st.sampled_from(paths))
+        q = data.draw(st.sampled_from([x for x in paths if x.target == p.target]))
+        items.append((Monomial(p, q), Fraction(data.draw(st.integers(-3, 3)))))
+    want = normal_form(g, items)
+    assert all(is_basis_monomial(g, m) for m in want)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    assert normal_form_random_order(g, items, rng) == want
 
 
 def test_normal_form_output_is_on_basis(rng, corpus):

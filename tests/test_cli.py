@@ -111,6 +111,37 @@ def test_missing_file_is_an_input_error(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_classify_rejects_file_and_corpus_together(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", GRAPH, "--corpus", str(CORPUS)])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "usage:" in err and "not allowed with" in err
+
+
+def _non_utf8_graph(folder):
+    bad = folder / "bad.graph"
+    bad.write_bytes(b"vertex v\xff\n")
+    return bad
+
+
+def test_classify_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli("classify", str(_non_utf8_graph(tmp_path)), capsys=capsys)
+    assert code == 2 and out == "" and "error: cannot read" in err
+
+
+def test_classify_corpus_with_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "loop.graph").write_text((CORPUS / "loop.graph").read_text())
+    _non_utf8_graph(tmp_path)
+    code, out, err = run_cli("classify", "--corpus", str(tmp_path), capsys=capsys)
+    assert code == 2 and out == "" and "bad.graph" in err
+
+
+def test_inspect_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    code, out, err = run_cli("inspect", str(_non_utf8_graph(tmp_path)), capsys=capsys)
+    assert code == 2 and out == "" and "error: cannot read" in err
+
+
 def test_malformed_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("vertex v\nedge oops v\n")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from helpers import (
     build,
     canon_cycles,
     cycles_oracle,
+    enumerate_cycles_dfs,
     load,
     multigraphs,
     random_graph,
@@ -236,3 +238,40 @@ def test_exitless_cycles_agree_with_filtered_enumeration(rng):
             if all(len(g.out_edges(v)) == 1 for v in c.vertices)
         }
         assert {c.edges for c in exitless_cycles(g)} == want
+
+
+def _cycles_or_cap(search, g, cap):
+    try:
+        return search(g, cap)
+    except TooManyCycles:
+        return TooManyCycles
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(multigraphs())
+def test_enumerate_cycles_matches_the_recursive_search_exactly(g):
+    # same cycles in the same order, and the same cap outcome
+    for cap in (1, 3, 1000):
+        assert _cycles_or_cap(enumerate_cycles, g, cap) == _cycles_or_cap(enumerate_cycles_dfs, g, cap)
+
+
+def test_cycle_search_scales_without_recursion():
+    # 2 x 10^4 vertices: far past the interpreter's recursion limit
+    n = 20_000
+    vs = [f"v{i}" for i in range(n)]
+    ring = [(f"e{i}", vs[i], vs[(i + 1) % n]) for i in range(n)]
+    exits = [(f"x{i}", vs[i], "out") for i in range(0, n, 4)]
+    (cycle,) = enumerate_cycles(Graph(vs + ["out"], ring + exits), 100)
+    assert cycle.edges == tuple(name for name, _, _ in ring)
+    assert cycle.vertices == tuple(vs)
+
+    # 10^4 vertices of out-degree 2, most of them in one strongly connected
+    # component
+    rng = random.Random(6)
+    n = 10_000
+    vs = [f"v{i}" for i in range(n)]
+    g = Graph(vs, [(f"e{2 * i + j}", v, rng.choice(vs)) for i, v in enumerate(vs) for j in (0, 1)])
+    ((_, giant),) = Counter(strong_components(g)).most_common(1)
+    assert giant > n // 2
+    with pytest.raises(TooManyCycles):
+        enumerate_cycles(g, 100)

@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpakit.algebra import Element, basis_monomials
 from lpakit.laurent import (
     ONE_MINUS_T,
     InvalidDimension,
@@ -206,6 +209,17 @@ def test_image_of_element_is_linear_and_multiplicative(rng):
         assert image_of_element(model, x + y) == image_of_element(model, x) + image_of_element(model, y)
         assert image_of_element(model, x * y) == image_of_element(model, x) * image_of_element(model, y)
         assert image_of_element(model, x.star()) == image_of_element(model, x).star()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_products_map_to_products_of_laurent_images(d, data):
+    model = cycle_iso(d)
+    pool = basis_monomials(model.graph, 3)
+    terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-4, 4)), min_size=1, max_size=4)
+    x = Element.from_terms(model.graph, data.draw(terms))
+    y = Element.from_terms(model.graph, data.draw(terms))
+    assert image_of_element(model, x * y) == image_of_element(model, x) * image_of_element(model, y)
 
 
 def test_verify_cycle_iso_all_small_dimensions():
