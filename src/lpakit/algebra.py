@@ -31,11 +31,10 @@ MonomialTable.element and RowSpace.reduced_rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph, Path, path_key
 
@@ -62,9 +61,11 @@ class NotBalloonDecomposition(AlgebraError):
     """The idempotent family needs a verified balloon decomposition."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A spanning monomial p q^*; both paths must share their range."""
+class Monomial(NamedTuple):
+    """A spanning monomial p q^*; both paths must share their range.
+
+    A tuple of two Path tuples, so Element term maps hash their keys in C.
+    """
 
     p: Path
     q: Path
@@ -183,9 +184,6 @@ class Element:
 
     def support(self) -> list[Monomial]:
         return sorted(self.terms, key=monomial_key)
-
-    def coeff(self, m: Monomial) -> Scalar:
-        return self.terms.get(m, Fraction(0))
 
     def star(self) -> "Element":
         # The basis is closed under p q^* -> q p^*, so no renormalization.
@@ -406,6 +404,15 @@ class MonomialTable:
     RowSpace.reduced_rows.  A table grows with every monomial it meets; it
     belongs to the call that created it and to the RowSpaces built on it,
     and is never stored on the graph.
+
+    Flat paths and a product and rewrite rule of its own, apart from
+    _raw_mul and normal_form, because each merge measured slower on a
+    shared 2-vCPU VM (Python 3.11): storing Monomials here with a shared
+    _raw_mul and rewrite made the corpus bracket pass at n=5 18-30% slower,
+    and Element arithmetic through a table per call nearly doubled its
+    set-up time, with peak RSS 36 -> 52 MB.  Without _path_objects,
+    bracket_space(loop_two_exits, 5) took 1.5 s instead of 1.24 s and
+    60 MB of max RSS instead of 48.
     """
 
     def __init__(self, g: Graph):
@@ -582,41 +589,24 @@ class RowSpace:
         """The unique fully reduced basis, ordered by pivot monomial, as
         rational rows with pivot coefficient 1.
 
-        Rows are reduced from the highest pivot down, so every pivot column
-        in a row's tail is cleared once, by a row that is already fully
-        reduced and so brings in no further pivot column.
+        The pivot rows go, highest pivot first, into a fresh RowSpace on the
+        same table.  Each row's entries lie at or above its pivot, so when it
+        is added every pivot already there is above its own and is cleared
+        from it, and no later, lower pivot occurs in it.  The fresh pivot
+        rows are therefore fully reduced, and primitive with a positive
+        lead, which fixes them.  This space is left as it was.
         """
-        done: dict[int, dict[int, int]] = {}
+        reduced = RowSpace(self.table)
         for pivot in sorted(self.pivots, reverse=True):
-            row = dict(self.pivots[pivot])
-            for k in [k for k in row if k != pivot and k in done]:
-                c = row.pop(k)
-                other = done[k]
-                lead = other[k]
-                if lead != 1:
-                    g = gcd(c, lead)
-                    c //= g
-                    s = lead // g
-                    if s != 1:
-                        for x in row:
-                            row[x] *= s
-                for k2, c2 in other.items():
-                    if k2 != k:
-                        acc = row.get(k2, 0) - c * c2
-                        if acc:
-                            row[k2] = acc
-                        else:
-                            row.pop(k2, None)
-            g = gcd(*row.values())
-            done[pivot] = {k: c // g for k, c in row.items()}
+            reduced.add(self.pivots[pivot])
         monomial = self.table.monomial
         fractions: dict[tuple[int, int], Fraction] = {}
         rows = []
-        for pivot in sorted(done):
-            row = done[pivot]
+        for pivot in sorted(reduced.pivots):
+            row = reduced.pivots[pivot]
             lead = row[pivot]
             out = {}
-            for k, c in sorted(row.items()):
+            for k, c in row.items():  # ids in increasing order, see _residue
                 x = fractions.get((c, lead))
                 if x is None:
                     x = fractions[c, lead] = Fraction(c, lead)

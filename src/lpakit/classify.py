@@ -353,7 +353,6 @@ class FailureReason:
 
 @dataclass(frozen=True)
 class Classification:
-    simple: bool
     almost_simple: bool
     core: tuple[str, ...]
     balloons: tuple[str, ...]
@@ -395,7 +394,6 @@ def classify(g: Graph) -> Classification:
 
     def verdict(core, balloons, ok, reason=None):
         return Classification(
-            simple=simplicity.simple,
             almost_simple=ok,
             core=tuple(core),
             balloons=tuple(balloons),

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -59,12 +59,15 @@ class Edge:
     target: str
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(NamedTuple):
     """A directed path: either a single vertex (no edges) or a chain of edges.
 
     Both endpoints are stored so that source/target lookups never need the
     graph.  A length-0 path has source == target == the vertex.
+
+    A tuple, so paths and the monomials built from them hash and compare in
+    C.  len() is the edge count, not the field count, which breaks the
+    generated _make and _replace: do not call them.
     """
 
     source: str

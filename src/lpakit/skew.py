@@ -177,6 +177,8 @@ def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketW
     space = RowSpace(table)
     low = space if probe >= n else RowSpace(table)
     gens = skew_basis(g, n)
+    # skew_basis lists generators by degree, so those of degree <= probe come first
+    low_gens = bisect_right([x.degree() for x in gens], probe)
     witness = None
     for i, j, vec in _brackets(table, gens):
         if not vec:
@@ -184,7 +186,7 @@ def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketW
         if witness is None:
             witness = BracketWitness(gens[i], gens[j], table.element(vec))
         space.add(vec)
-        if low is not space and gens[j].degree() <= probe:  # j's degree >= i's
+        if low is not space and j < low_gens:  # and so i < low_gens
             low.add(vec)
     return space, witness, low
 

@@ -232,7 +232,7 @@ def test_criterion_08_curated_corpus_verdicts(capsys):
         for name, (want_simple, want_almost) in EXPECTED.items():
             g = load(name)
             cls = classify(g)
-            assert cls.simple == want_simple, name
+            assert cls.simplicity.simple == want_simple, name
             assert cls.almost_simple == want_almost, name
             assert validate_classification(g, cls), name
             assert cls.almost_simple == almost_simple_oracle(g), name

@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -24,6 +26,7 @@ from lpakit.algebra import (
     GraphHasCycle,
     MixedGraphs,
     Monomial,
+    MonomialTable,
     NotBalloonDecomposition,
     NotHereditary,
     all_paths,
@@ -45,7 +48,10 @@ from lpakit.algebra import (
     vertex_element,
     vertex_sum,
     zero,
+    _ideal_space,
 )
+from lpakit.classify import classify
+from lpakit.skew import _bracket_pass
 
 
 # -- monomials and normal forms ---------------------------------------------------
@@ -74,6 +80,29 @@ def test_basis_monomial_test(fork2):
     assert is_basis_monomial(fork2, Monomial(e2, e2))
     assert is_basis_monomial(fork2, Monomial(e1, make_path(fork2, "w1")))  # q is a bare vertex
     assert is_basis_monomial(fork2, Monomial(u, u))
+
+
+def test_path_and_monomial_records(toeplitz):
+    v, ce, e = toeplitz.vertex_path("v"), toeplitz.path(["c", "e"]), toeplitz.path(["e"])
+    assert len(v) == 0 and len(ce) == 2  # the edge count, not the field count
+    assert str(v) == "v" and str(ce) == "c e"
+    assert repr(ce) == "Path(source='v', target='w', edges=('c', 'e'))"
+    m = Monomial(ce, e)
+    assert str(m) == "c e . e^*" and m.degree == 3 and m.star() == Monomial(e, ce)
+    assert repr(m) == (
+        "Monomial(p=Path(source='v', target='w', edges=('c', 'e')), "
+        "q=Path(source='v', target='w', edges=('e',)))"
+    )
+    for p in paths_up_to(toeplitz, 3):
+        q = toeplitz.path(p.edges) if p.edges else toeplitz.vertex_path(p.source)
+        assert q == p and hash(q) == hash(p)
+
+
+def test_elements_survive_pickle_and_deepcopy(rng, toeplitz):
+    for _ in range(10):
+        x = random_element(toeplitz, rng)
+        for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            assert y == x and str(y) == str(x)
 
 
 def test_defining_relations(toeplitz):
@@ -324,6 +353,20 @@ def test_rowspace_reduces_against_a_pivot_with_lead_two(fork2):
     assert space.rank == 2
     assert [dict(r) for r in space.reduced_rows()] == [e1.terms, e2.terms]
     assert not span([2 * e1 + e2]).contains(e1.terms)
+
+
+def test_reduced_rows_leaves_the_space_as_it_was(corpus):
+    g = corpus["loop_two_exits"]
+    spaces = (_bracket_pass(g, 2)[0], _ideal_space(MonomialTable(g), classify(g).core, 3))
+    for space in spaces:
+        rank, pivots = space.rank, [(k, dict(row)) for k, row in space.pivots.items()]
+        rows = space.reduced_rows()
+        assert space.rank == rank == len(rows)
+        assert [(k, dict(row)) for k, row in space.pivots.items()] == pivots
+        assert space.reduced_rows() == rows
+    # the bracket pass leaves pivot columns in row tails for reduced_rows to clear
+    brackets = spaces[0].pivots
+    assert any(k in brackets for p, row in brackets.items() for k in row if k != p)
 
 
 def test_element_in_span(fork2):

@@ -341,7 +341,7 @@ def test_evidence_bundle_negative(corpus):
 def test_evidence_bundle_simple_but_not_almost_simple(corpus):
     # the lone fiber: simple graph, zero commutators
     bundle = lie_simplicity_evidence(corpus["fiber"], 3)
-    assert bundle.classification.simple
+    assert bundle.classification.simplicity.simple
     assert not bundle.classification.almost_simple
     assert bundle.bracket_space_dimension == 0
     assert bundle.vanishing_family
