@@ -36,6 +36,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
+from .classify import classify, is_hereditary
 from .graph import Graph, Path, path_key
 
 Scalar = Fraction
@@ -335,41 +336,16 @@ def paths_up_to(g: Graph, n: int) -> list[Path]:
     return out
 
 
-def _is_acyclic(g: Graph) -> bool:
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for e in g.out_edges(v):
-            indeg[e.target] -= 1
-            if indeg[e.target] == 0:
-                ready.append(e.target)
-    return seen == len(g.vertices)
-
-
-def all_paths(g: Graph) -> list[Path]:
-    """Every path of an acyclic graph (paths there are at most |V|-1 long)."""
-    if not _is_acyclic(g):
-        raise GraphHasCycle("infinitely many paths")
-    return paths_up_to(g, max(len(g.vertices) - 1, 0))
-
-
-def basis_monomials(g: Graph, n: int | None) -> list[Monomial]:
-    """The basis monomials of total degree at most n, in canonical order.
-
-    n=None means no bound and requires an acyclic graph.
-    """
-    paths = all_paths(g) if n is None else paths_up_to(g, n)
+def basis_monomials(g: Graph, n: int) -> list[Monomial]:
+    """The basis monomials of total degree at most n, in canonical order."""
     by_range: dict[str, list[Path]] = {}
-    for p in paths:
+    for p in paths_up_to(g, n):
         by_range.setdefault(p.target, []).append(p)
     out = []
     for v in g.vertices:
         for p in by_range.get(v, ()):
             for q in by_range.get(v, ()):
-                if n is not None and len(p.edges) + len(q.edges) > n:
+                if len(p.edges) + len(q.edges) > n:
                     continue
                 m = Monomial(p, q)
                 if is_basis_monomial(g, m):
@@ -379,8 +355,31 @@ def basis_monomials(g: Graph, n: int | None) -> list[Monomial]:
 
 
 def dimension(g: Graph) -> int:
-    """Dimension of the whole algebra; defined only for acyclic graphs."""
-    return len(basis_monomials(g, None))
+    """Dimension of the whole algebra; defined only for acyclic graphs.
+
+    The sum of N(v)^2 over the sinks v, where N(v) counts the paths ending
+    at v (the algebra is the direct sum of the N(v) x N(v) matrices: Abrams,
+    Aranda Pino and Siles Molina, J. Pure Appl. Algebra 209, 2007).  In
+    basis terms, the monomials with range v number N(v)^2, and at a non-sink v
+    exactly N(v)^2 of them end with v's special edge on both sides.  One
+    pass in topological order gives N(v) = 1 + the sum of N(s(e)) over the
+    edges e into v, and misses some vertex exactly when there is a cycle.
+    """
+    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
+    count = dict.fromkeys(g.vertices, 1)  # N(v), final once v is ready
+    ready = [v for v in g.vertices if indeg[v] == 0]
+    seen = 0
+    while ready:
+        v = ready.pop()
+        seen += 1
+        for e in g.out_edges(v):
+            count[e.target] += count[v]
+            indeg[e.target] -= 1
+            if indeg[e.target] == 0:
+                ready.append(e.target)
+    if seen != len(g.vertices):
+        raise GraphHasCycle("infinitely many paths")
+    return sum(count[v] ** 2 for v in g.vertices if g.is_sink(v))
 
 
 # -- the integer core ------------------------------------------------------------
@@ -631,8 +630,6 @@ def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
     with its rows keyed by the ids of the given table."""
     g = table.graph
     wlist = list(ws)
-    from .classify import is_hereditary  # local import, no cycle at module load
-
     if not is_hereditary(g, wlist):
         raise NotHereditary(f"{sorted(set(wlist))} is not hereditary")
     wset = set(wlist)
@@ -655,8 +652,6 @@ def orthogonal_idempotent_family(g: Graph, ws: Iterable[str], k: int) -> list[El
     the sum of the core vertices, then for every balloon with loop c and
     every edge e from it into the core the elements (c^j e)(c^j e)^* for
     j = 0..k.  Pairwise products vanish and every member is idempotent."""
-    from .classify import classify
-
     wlist = list(ws)
     cls = classify(g)
     if not cls.almost_simple or set(wlist) != set(cls.core):

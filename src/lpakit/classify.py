@@ -168,16 +168,16 @@ def smallest_hs_subset(g: Graph) -> list[str] | None:
     return hs_closure(g, [g.vertices[comp.index(terminal[0])]])
 
 
-def enumerate_hs_subsets(g: Graph, limit: int = HS_ENUM_LIMIT) -> list[tuple[str, ...]]:
+def enumerate_hs_subsets(g: Graph) -> list[tuple[str, ...]]:
     """All nonempty proper-or-full subsets that are hereditary and saturated.
 
-    Exponential by nature, so gated: graphs with more than `limit` vertices
-    raise GraphTooLarge.  Results are ordered by size, then by declaration
-    order of their members.
+    Exponential by nature, so gated: graphs with more than HS_ENUM_LIMIT
+    vertices raise GraphTooLarge.  Results are ordered by size, then by
+    declaration order of their members.
     """
     n = len(g.vertices)
-    if n > limit:
-        raise GraphTooLarge(f"{n} vertices exceeds the enumeration limit {limit}")
+    if n > HS_ENUM_LIMIT:
+        raise GraphTooLarge(f"{n} vertices exceeds the enumeration limit {HS_ENUM_LIMIT}")
     out = []
     for k in range(1, n + 1):
         for combo in combinations(g.vertices, k):
@@ -266,8 +266,9 @@ def find_fibers(g: Graph) -> list[Edge]:
 def is_fork(g: Graph) -> bool:
     """One connected component in which a single vertex emits everything:
     exactly one source vertex, every other vertex a sink, at least two
-    vertices in total."""
-    if len(g.vertices) < 2 or len(weak_components(g)) != 1:
+    vertices in total.  Connected follows: every other vertex receives an
+    edge, and only the source emits."""
+    if len(g.vertices) < 2:
         return False
     srcs = [v for v in g.vertices if g.is_source(v)]
     if len(srcs) != 1:
@@ -328,20 +329,6 @@ def fiber_units(g: Graph) -> list[FiberUnit]:
     ]
 
 
-def detach_fiber_units(g: Graph) -> tuple[Graph | None, list[FiberUnit]]:
-    """Remove every fiber unit (source, edge and target all go).
-
-    Returns (remainder, units); the remainder is None when the units cover
-    the whole graph.
-    """
-    units = fiber_units(g)
-    drop = {u.source for u in units} | {u.target for u in units}
-    keep = [v for v in g.vertices if v not in drop]
-    if not keep:
-        return None, units
-    return g.subgraph(keep), units
-
-
 # -- the classifier -----------------------------------------------------------
 
 
@@ -384,7 +371,7 @@ def classify(g: Graph) -> Classification:
         )
     simplicity = is_simple(g)
 
-    remainder, units = detach_fiber_units(g)
+    units = fiber_units(g)
     units_t = tuple(units)
     if units:
         warnings.append(
@@ -404,20 +391,24 @@ def classify(g: Graph) -> Classification:
             warnings=tuple(warnings),
         )
 
-    if remainder is None:
+    drop = {u.source for u in units} | {u.target for u in units}
+    remainder = [v for v in g.vertices if v not in drop]
+    if not remainder:
         warnings.append("every vertex lies in a fiber unit; skew commutators all vanish")
         return verdict((), (), False, FailureReason(
             "empty_after_fiber_stripping",
             "detaching fiber units removed every vertex",
         ))
 
-    # over the whole vertex set the balloon clauses are exactly the local test
-    everywhere = remainder.vertex_index
-    balloons = [v for v in remainder.vertices if _balloon_clauses(remainder, v, everywhere)]
+    # a fiber unit touches no other edge, so each remaining vertex has the same
+    # edges in g as in the remainder, over which the balloon clauses are
+    # exactly the local test
+    everywhere = g.vertex_index
+    balloons = [v for v in remainder if _balloon_clauses(g, v, everywhere)]
     balloon_set = set(balloons)
-    core = [v for v in remainder.vertices if v not in balloon_set]
+    core = [v for v in remainder if v not in balloon_set]
 
-    if len(remainder.vertices) == 1 and not remainder.edges:
+    if len(remainder) == 1 and g.is_sink(remainder[0]):
         warnings.append(
             "remainder is a single isolated vertex; its skew-symmetric part is "
             "zero, so the verdict is negative despite the trivially simple core"
@@ -429,7 +420,7 @@ def classify(g: Graph) -> Classification:
 
     # core is never empty here: a balloon candidate needs a non-loop edge,
     # and whatever that edge hits has an incoming edge besides any loop.
-    core_graph = remainder.subgraph(core)
+    core_graph = g.subgraph(core)
     core_result = is_simple(core_graph)
     if not core_result.simple:
         what = (
@@ -480,17 +471,16 @@ def is_vanishing_family(g: Graph) -> bool:
     These are exactly the shapes on which every commutator of skew-symmetric
     elements vanishes: no two distinct edges are consecutive or share a
     range, so there is nothing to bracket.
+
+    One pass over the edges: a loop must be its vertex's only out-edge, and
+    any other edge must leave a vertex that receives nothing and enter a
+    sink that receives only that edge.  A second edge into a loop's vertex
+    breaks one of the two rules.
     """
-    for comp in weak_components(g):
-        sub = g.subgraph(comp)
-        if len(sub.vertices) == 1:
-            v = sub.vertices[0]
-            es = sub.out_edges(v)
-            if len(es) > 1:
+    for e in g.edges:
+        if e.source == e.target:
+            if len(g._out[e.source]) != 1:
                 return False
-            continue  # isolated vertex or one loop
-        if not is_fork(sub):
-            return False
-        if any(len(sub.in_edges(v)) > 1 for v in sub.vertices):
+        elif g._in[e.source] or g._out[e.target] or len(g._in[e.target]) != 1:
             return False
     return True

@@ -189,6 +189,11 @@ class Graph:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt from names on load: the cached hash depends on the hash
+        # seed of the process, and derived caches are not worth shipping
+        return Graph, (self.vertices, [(e.name, e.source, e.target) for e in self.edges])
+
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 

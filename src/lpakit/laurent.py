@@ -21,7 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .algebra import Element, basis_monomials, monomial_mul
 from .graph import Graph
+
+PRODUCT_DEGREE = 3  # verify_cycle_iso multiplies basis monomials up to this degree
 
 
 class LaurentError(Exception):
@@ -344,18 +347,17 @@ class CycleIsoReport:
     product_checks: int
 
 
-def verify_cycle_iso(d: int, product_degree: int = 3) -> CycleIsoReport:
+def verify_cycle_iso(d: int) -> CycleIsoReport:
     """Verify that the cycle assignment is a star-homomorphism.
 
     Checks the four defining relations on generators, the star
     correspondence, and multiplicativity on every pair of basis monomials
-    of degree at most product_degree.  Raises RelationFailure on any
+    of degree at most PRODUCT_DEGREE.  Raises RelationFailure on any
     mismatch.  Gated to 1 <= d <= 6; beyond that nothing new happens and
     the product table gets large.
     """
     if not 1 <= d <= 6:
         raise InvalidDimension("verification is gated to cycles of size 1..6")
-    from .algebra import Element, basis_monomials, monomial_mul
 
     model = cycle_iso(d)
     g = model.graph
@@ -390,7 +392,7 @@ def verify_cycle_iso(d: int, product_degree: int = 3) -> CycleIsoReport:
             total = total + model.images[e.name] * model.images[e.name].star()
         want(total == model.images[v], f"vertex sum rule at {v}")
 
-    monos = basis_monomials(g, product_degree)
+    monos = basis_monomials(g, PRODUCT_DEGREE)
     images = {}
     for m in monos:
         images[str(m)] = image_of_element(model, Element(g, {m: Fraction(1)}))

@@ -16,7 +16,8 @@ pictures of the commutator space [K, K]:
 Every commutator of skew generators comes from one pass, _brackets, which
 evaluates each pair once in order of total degree.  The bracket space, the
 first nonzero bracket and the containment probe all read that pass, and the
-evidence bundle takes its rank and its witness from a single run of it.
+evidence bundle takes its rank, its witness and its probe from a single run
+of it, at every truncation.
 
 The pass runs on algebra's integer core.  A generator is the pair of ids of
 m and m^* in a MonomialTable made for the call, a bracket is an int vector
@@ -38,6 +39,7 @@ from typing import Iterator
 
 from .algebra import (
     Element,
+    GraphHasCycle,
     MonomialTable,
     RowSpace,
     basis_monomials,
@@ -48,7 +50,6 @@ from .algebra import (
     vertex_element,
     zero,
     _ideal_space,
-    _is_acyclic,
 )
 from .classify import (
     Classification,
@@ -165,28 +166,32 @@ def _brackets(table: MonomialTable, gens: list[Element]) -> Iterator[tuple[int, 
 
 def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketWitness | None, RowSpace]:
     """All brackets of the degree-<=n skew slice in one RowSpace, and the
-    first nonzero one.
+    first nonzero one; the brackets of the degree-<=probe slice in a second
+    RowSpace, which is the first one itself when both slices have the same
+    generators.
 
-    The brackets of two generators of degree <= probe also go into a second
-    RowSpace, which is the first one itself when probe >= n.  Those
-    generators are the prefix skew_basis(g, probe), and the pairs among them
-    come in the same order, so for probe <= n the second RowSpace is the
-    first one of _bracket_pass(g, probe).  Both share one MonomialTable.
+    Both slices are prefixes of skew_basis(g, max(n, probe)), which lists
+    generators by degree, so one walk over its pairs serves both: a pair
+    belongs to a slice when its j is below that slice's generator count.
+    Filtering keeps the order of total degree, then i, then j, so each
+    RowSpace and the witness are those of a pass over the slice alone.  Both
+    RowSpaces share one MonomialTable.
     """
     table = MonomialTable(g)
+    gens = skew_basis(g, max(n, probe))
+    degs = [x.degree() for x in gens]
+    main_gens, low_gens = bisect_right(degs, n), bisect_right(degs, probe)
     space = RowSpace(table)
-    low = space if probe >= n else RowSpace(table)
-    gens = skew_basis(g, n)
-    # skew_basis lists generators by degree, so those of degree <= probe come first
-    low_gens = bisect_right([x.degree() for x in gens], probe)
+    low = space if low_gens == main_gens else RowSpace(table)
     witness = None
     for i, j, vec in _brackets(table, gens):
         if not vec:
             continue
-        if witness is None:
-            witness = BracketWitness(gens[i], gens[j], table.element(vec))
-        space.add(vec)
-        if low is not space and j < low_gens:  # and so i < low_gens
+        if j < main_gens:  # and so i < main_gens
+            if witness is None:
+                witness = BracketWitness(gens[i], gens[j], table.element(vec))
+            space.add(vec)
+        if low is not space and j < low_gens:
             low.add(vec)
     return space, witness, low
 
@@ -320,15 +325,14 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
     dimension being 0 is the whole story at this truncation.
     """
     cls = classify(g)
-    dim = dimension(g) if _is_acyclic(g) else None
-    # the probe's degree-2 generators are a prefix of the degree-n ones, so
-    # for n >= 2 the main pass evaluates the probe's brackets as well
-    probe = 2 if cls.almost_simple and n >= 2 else -1
-    space, witness, low = _bracket_pass(g, n, probe)
+    try:
+        dim = dimension(g)
+    except GraphHasCycle:
+        dim = None
+    # the containment probe's degree-2 brackets come from the same pass
+    space, witness, low = _bracket_pass(g, n, 2 if cls.almost_simple else -1)
     containment = None
     if cls.almost_simple:
-        if probe < 0:
-            low = _bracket_pass(g, 2)[0]
         containment = _containment(list(cls.core), low, 2, 2)
     return EvidenceBundle(
         classification=cls,

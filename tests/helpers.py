@@ -31,7 +31,7 @@ from lpakit.algebra import (
     zero,
 )
 from lpakit.classify import SimplicityResult, hereditary_closure, is_hereditary
-from lpakit.graph import Cycle, Graph, TooManyCycles, exitless_cycles, parse_graph
+from lpakit.graph import Cycle, Graph, TooManyCycles, exitless_cycles, parse_graph, weak_components
 from lpakit.graph import Path as GraphPath
 from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
 
@@ -314,6 +314,28 @@ def almost_simple_oracle(g: Graph) -> bool:
     return False
 
 
+def is_fork_oracle(g: Graph) -> bool:
+    """is_fork with its connectivity test spelled out: one weak component,
+    exactly one source, every other vertex a sink, two or more vertices."""
+    if len(g.vertices) < 2 or len(weak_components(g)) != 1:
+        return False
+    srcs = [v for v in g.vertices if not g.in_edges(v)]
+    return len(srcs) == 1 and all(not g.out_edges(v) for v in g.vertices if v != srcs[0])
+
+
+def is_vanishing_family_oracle(g: Graph) -> bool:
+    """is_vanishing_family component by component, on induced subgraphs: an
+    isolated vertex, one loop, or a fork whose sinks each receive one edge."""
+    for comp in weak_components(g):
+        sub = g.subgraph(comp)
+        if len(sub.vertices) == 1:
+            if len(sub.out_edges(sub.vertices[0])) > 1:
+                return False
+        elif not is_fork_oracle(sub) or any(len(sub.in_edges(v)) > 1 for v in sub.vertices):
+            return False
+    return True
+
+
 # -- dimension, by path counting ------------------------------------------------
 
 
@@ -549,6 +571,29 @@ def multigraphs(draw, max_vertices: int = 8, max_edges: int = 12) -> Graph:
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=max_edges))
     order = draw(st.permutations(vs))
     return Graph(order, [(f"e{j}", vs[a], vs[b]) for j, (a, b) in enumerate(pairs)])
+
+
+@st.composite
+def star_graphs(draw) -> Graph:
+    """Isolated vertices, loops and stars (a hub with edges to sinks,
+    parallel edges allowed), plus up to two random edges: graphs at or near
+    the fork and vanishing-family shapes, which few uniform random graphs
+    have."""
+    vs: list[str] = []
+    es: list[tuple[str, str, str]] = []
+    parts = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)), min_size=1, max_size=3)
+    for k, (kind, size) in enumerate(draw(parts)):
+        vs.append(f"h{k}")
+        if kind == 1:
+            es.append((f"l{k}", f"h{k}", f"h{k}"))
+        elif kind == 2:
+            leaves = [f"s{k}_{i}" for i in range(size)]
+            vs += leaves
+            targets = leaves + draw(st.lists(st.sampled_from(leaves), max_size=2))
+            es += [(f"f{k}_{j}", f"h{k}", w) for j, w in enumerate(targets)]
+    ends = st.integers(0, len(vs) - 1)
+    es += [(f"x{j}", vs[a], vs[b]) for j, (a, b) in enumerate(draw(st.lists(st.tuples(ends, ends), max_size=2)))]
+    return Graph(draw(st.permutations(vs)), es)
 
 
 @st.composite

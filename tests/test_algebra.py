@@ -29,7 +29,6 @@ from lpakit.algebra import (
     MonomialTable,
     NotBalloonDecomposition,
     NotHereditary,
-    all_paths,
     basis_monomials,
     dimension,
     edge_element,
@@ -51,6 +50,7 @@ from lpakit.algebra import (
     _ideal_space,
 )
 from lpakit.classify import classify
+from lpakit.graph import Graph
 from lpakit.skew import _bracket_pass
 
 
@@ -265,15 +265,11 @@ def test_monomial_mul_agrees_with_element_mul(rng, toeplitz):
 # -- bases and dimension ----------------------------------------------------------------
 
 
-def test_paths_up_to(toeplitz):
+def test_paths_up_to(toeplitz, fork2):
     got = [str(p) for p in paths_up_to(toeplitz, 2)]
     assert got == ["v", "w", "c", "e", "c c", "c e"]
-
-
-def test_all_paths_needs_acyclic(toeplitz, fork2):
-    with pytest.raises(GraphHasCycle):
-        all_paths(toeplitz)
-    assert [str(p) for p in all_paths(fork2)] == ["u", "w1", "w2", "e1", "e2"]
+    # the search stops once a level is empty, far below the bound
+    assert [str(p) for p in paths_up_to(fork2, 9)] == ["u", "w1", "w2", "e1", "e2"]
 
 
 def test_loop_basis_low_degrees(loop):
@@ -303,6 +299,27 @@ def test_dimension_matches_path_count_oracle(rng):
     for _ in range(120):
         g = random_acyclic_graph(rng)
         assert dimension(g) == dimension_oracle(g)
+        # paths of an acyclic graph are at most |V| - 1 long
+        assert dimension(g) == len(basis_monomials(g, 2 * (len(g.vertices) - 1)))
+
+
+def _diamond_chain(k: int) -> Graph:
+    """v0 => v1 => ... => vk, each step a diamond through a_i and b_i."""
+    vs, es = ["v0"], []
+    for i in range(1, k + 1):
+        vs += [f"a{i}", f"b{i}", f"v{i}"]
+        es += [(f"x{i}", f"v{i - 1}", f"a{i}"), (f"y{i}", f"v{i - 1}", f"b{i}"),
+               (f"z{i}", f"a{i}", f"v{i}"), (f"w{i}", f"b{i}", f"v{i}")]
+    return Graph(vs, es)
+
+
+def test_dimension_counts_paths_without_listing_them():
+    # N(v_i) = 2 N(v_(i-1)) + 3 paths end at v_i, so 2^(k+2) - 3 at the sink
+    for k in range(4):
+        g = _diamond_chain(k)
+        assert dimension(g) == (2 ** (k + 2) - 3) ** 2 == dimension_oracle(g)
+    # 2^66 - 3 paths end at the sink: far too many to list
+    assert dimension(_diamond_chain(64)) == (2 ** 66 - 3) ** 2
 
 
 def test_dimension_rejects_cycles(toeplitz):

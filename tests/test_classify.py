@@ -1,5 +1,6 @@
 import json
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,13 +16,16 @@ from helpers import (
     hs_closure_oracle,
     hs_closure_rescan,
     hs_oracle,
+    is_fork_oracle,
     is_simple_per_vertex,
+    is_vanishing_family_oracle,
     load,
     multigraphs,
     random_graph,
     saturated_closure_rescan,
     simple_oracle,
     smallest_hs_subset_by_intersection,
+    star_graphs,
 )
 
 from lpakit.classify import (
@@ -29,7 +33,6 @@ from lpakit.classify import (
     GraphTooLarge,
     SimplicityResult,
     classify,
-    detach_fiber_units,
     enumerate_hs_subsets,
     fiber_units,
     find_balloons,
@@ -259,14 +262,8 @@ def test_fiber_units_and_detachment(corpus):
     g = corpus["fiber_plus_toeplitz"]
     units = fiber_units(g)
     assert [(u.source, u.edge, u.target) for u in units] == [("u", "e", "w")]
-    rem, units2 = detach_fiber_units(g)
-    assert units2 == units
-    assert rem.vertices == ("v2", "w2")
     # the fork's hub keeps a second edge, so its fibers are not units
     assert fiber_units(corpus["fork2"]) == []
-    # stripping a pure fiber empties the graph
-    rem, _ = detach_fiber_units(corpus["fiber"])
-    assert rem is None
 
 
 def test_fiber_units_match_oracle(rng):
@@ -409,3 +406,40 @@ def test_vanishing_family_members_never_classify_positive(corpus):
     for name, g in corpus.items():
         if is_vanishing_family(g):
             assert not classify(g).almost_simple, name
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.one_of(multigraphs(), star_graphs()))
+def test_fork_and_vanishing_family_match_the_component_oracles(g):
+    assert is_fork(g) == is_fork_oracle(g)
+    assert is_vanishing_family(g) == is_vanishing_family_oracle(g)
+
+
+def test_vanishing_family_on_many_components():
+    n = 20_000
+    vs = [f"c{i}" for i in range(n)] + ["u", "w1", "w2"]
+    es = [(f"l{i}", f"c{i}", f"c{i}") for i in range(n)] + [("e1", "u", "w1"), ("e2", "u", "w2")]
+    assert is_vanishing_family(build(vs, es))
+    assert not is_vanishing_family(build(vs, es + [("x", "c0", "c1")]))
+
+
+def test_shape_tests_build_no_throwaway_subgraphs(corpus, monkeypatch):
+    calls = Counter()
+    for owner, attr in ((Graph, "subgraph"), (sys.modules["lpakit.classify"], "weak_components")):
+        original = getattr(owner, attr)
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    for g in corpus.values():
+        is_fork(g)
+        is_vanishing_family(g)
+    assert not calls
+    for name, g in corpus.items():
+        calls.clear()
+        cls = classify(g)
+        reason = cls.failure_reason
+        reached_core = reason is None or reason.kind == "core_not_simple"
+        assert calls["subgraph"] == reached_core, name

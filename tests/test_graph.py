@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import lpakit
 from helpers import (
+    CORPUS,
     build,
     canon_cycles,
     cycles_oracle,
@@ -173,6 +179,36 @@ def test_graph_equality_is_structural():
     b = parse_graph("vertex v\nedge c v v\n")
     assert a == b and hash(a) == hash(b)
     assert a != build(["v"])
+
+
+_DUMP = """
+import pickle, sys
+from lpakit.algebra import special_edges
+from lpakit.graph import parse_graph
+g = parse_graph(open(sys.argv[1]).read())
+special_edges(g)
+pickle.dump(g, open(sys.argv[2], "wb"))
+"""
+
+_LOAD = """
+import pickle, sys
+from lpakit.graph import parse_graph
+loaded = pickle.load(open(sys.argv[2], "rb"))
+fresh = parse_graph(open(sys.argv[1]).read())
+assert hash(loaded) == hash(fresh), "hash"
+assert len({loaded, fresh}) == 1, "set"
+assert not hasattr(loaded, "_special_edges"), "cache"
+"""
+
+
+def test_pickled_graph_hashes_like_a_fresh_one_across_hash_seeds(tmp_path):
+    src = str(Path(lpakit.__file__).resolve().parents[1])
+    args = [str(CORPUS / "toeplitz.graph"), str(tmp_path / "g.pickle")]
+    for seed, script in (("1", _DUMP), ("2", _LOAD)):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 # -- cycles ------------------------------------------------------------------
