@@ -12,13 +12,13 @@ e^* for every edge e, subject to
 It is spanned by monomials p q^* where p and q are paths with the same
 range (vertices count as paths of length zero).  Relation (4) makes that
 spanning set dependent; a basis is obtained by fixing, for every non-sink
-v, its lexicographically least outgoing edge ("the special edge") and
-discarding the monomials in which p and q both end with that edge.  Any
-such monomial rewrites, by (4) applied at the junction, into one monomial
-of degree two less plus same-degree monomials whose final edges are not
-special; the rewriting therefore terminates, and since a monomial has at
-most one reducible junction the result does not depend on the order in
-which terms are processed.
+v, its lexicographically least outgoing edge g.least_out_edge[v] ("the
+special edge") and discarding the monomials in which p and q both end with
+that edge.  Any such monomial rewrites, by (4) applied at the junction,
+into one monomial of degree two less plus same-degree monomials whose final
+edges are not special; the rewriting therefore terminates, and since a
+monomial has at most one reducible junction the result does not depend on
+the order in which terms are processed.
 
 Coefficients are exact throughout; nothing here ever rounds.
 Element carries Fraction coefficients.  The bracket and ideal passes run on
@@ -40,6 +40,16 @@ from .classify import classify, is_hereditary
 from .graph import Graph, Path, path_key
 
 Scalar = Fraction
+
+
+def as_scalar(c) -> Scalar:
+    """c as a Fraction.  Only int and Fraction are taken: a float would
+    enter as its binary expansion (0.1 as 3602879701896397/2**55)."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"coefficients are int or Fraction, not {type(c).__name__}")
 
 
 class AlgebraError(Exception):
@@ -87,22 +97,6 @@ def monomial_key(m: Monomial) -> tuple:
     return (m.degree, path_key(m.p), path_key(m.q))
 
 
-def special_edges(g: Graph) -> dict[str, str]:
-    """The lexicographically least outgoing edge name of every non-sink.
-
-    Computed on first use and stored on the graph, so it is freed with it.
-    """
-    try:
-        return g._special_edges
-    except AttributeError:
-        g._special_edges = {
-            v: min(e.name for e in g.out_edges(v))
-            for v in g.vertices
-            if not g.is_sink(v)
-        }
-        return g._special_edges
-
-
 def is_basis_monomial(g: Graph, m: Monomial) -> bool:
     """Basis test: p and q must not both end with the special edge of its
     source vertex (they trivially pass when either path is a vertex)."""
@@ -111,7 +105,7 @@ def is_basis_monomial(g: Graph, m: Monomial) -> bool:
     f = m.p.edges[-1]
     if f != m.q.edges[-1]:
         return True
-    return special_edges(g)[g.edge_map[f].source] != f
+    return g.least_out_edge[g.edge_map[f].source] != f
 
 
 def _shorten(g: Graph, p: Path) -> Path:
@@ -133,7 +127,7 @@ def normal_form(
     any order gives the same result.
     """
     out: dict[Monomial, Scalar] = {}
-    work = [(m, Fraction(c)) for m, c in items]
+    work = [(m, as_scalar(c)) for m, c in items]
     while work:
         m, c = work.pop()
         if not c:
@@ -191,6 +185,8 @@ class Element:
         return Element(self.graph, {m.star(): c for m, c in self.terms.items()})
 
     def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         self._same_graph(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
@@ -208,7 +204,7 @@ class Element:
         return Element(self.graph, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
+        c = as_scalar(c)
         if not c:
             return Element(self.graph, {})
         return Element(self.graph, {m: c * x for m, x in self.terms.items()})
@@ -216,6 +212,8 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, Element):
+            return NotImplemented
         self._same_graph(other)
         raw: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
@@ -421,7 +419,7 @@ class MonomialTable:
         self._edge_rank = {name: i for i, name in enumerate(sorted(g.edge_map))}
         self._source = {e.name: e.source for e in g.edges}
         self._target = {e.name: e.target for e in g.edges}
-        self._special = special_edges(g)
+        self._special = g.least_out_edge
         self._other_edges = {
             v: tuple(e.name for e in g.out_edges(v) if e.name != f)
             for v, f in self._special.items()

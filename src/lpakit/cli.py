@@ -393,13 +393,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (GraphError, ClassifyError, AlgebraError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TableMismatch, RelationFailure) as exc:
+    except (TableMismatch, RelationFailure) as exc:  # first: TableMismatch is a SkewError
         print(f"self-check failure: {exc}", file=sys.stderr)
         return 3
-    except SkewError as exc:
+    except (GraphError, ClassifyError, AlgebraError, SkewError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

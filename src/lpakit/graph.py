@@ -150,12 +150,18 @@ class Graph:
 
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
+        # least_out_edge: the lexicographically least out-edge name of
+        # every non-sink, the special edge of the path algebra's basis
+        least: dict[str, str] = {}
         for e in self.edges:
             out[e.source].append(e)
             inc[e.target].append(e)
+            f = least.get(e.source)
+            if f is None or e.name < f:
+                least[e.source] = e.name
         self._out = {v: tuple(lst) for v, lst in out.items()}
         self._in = {v: tuple(lst) for v, lst in inc.items()}
-        self._hash = hash((self.vertices, self.edges))
+        self.least_out_edge: dict[str, str] = least
 
     # -- basic queries ----------------------------------------------------
 
@@ -187,11 +193,11 @@ class Graph:
         return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.vertices, self.edges))
 
     def __reduce__(self):
-        # rebuilt from names on load: the cached hash depends on the hash
-        # seed of the process, and derived caches are not worth shipping
+        # rebuilt from names on load, so the loaded graph is re-validated
+        # and its lookup tables are not shipped
         return Graph, (self.vertices, [(e.name, e.source, e.target) for e in self.edges])
 
     def __repr__(self) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .algebra import Element, basis_monomials, monomial_mul
+from .algebra import Element, as_scalar, basis_monomials, monomial_mul
 from .graph import Graph
 
 PRODUCT_DEGREE = 3  # verify_cycle_iso multiplies basis monomials up to this degree
@@ -40,7 +40,10 @@ class RelationFailure(LaurentError):
 
 
 class LaurentPoly:
-    """A rational Laurent polynomial as a sparse exponent -> coefficient map."""
+    """A rational Laurent polynomial as a sparse exponent -> coefficient map.
+
+    The constructor drops zero coefficients; the operators rely on it.
+    """
 
     __slots__ = ("coeffs",)
 
@@ -48,7 +51,7 @@ class LaurentPoly:
         self.coeffs: dict[int, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
-                c = Fraction(c)
+                c = as_scalar(c)
                 if c:
                     self.coeffs[int(k)] = c
 
@@ -72,13 +75,11 @@ class LaurentPoly:
         return LaurentPoly({-k: c for k, c in self.coeffs.items()})
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            acc = out.get(k, 0) + c
-            if acc:
-                out[k] = acc
-            else:
-                out.pop(k, None)
+            out[k] = out.get(k, 0) + c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -89,17 +90,14 @@ class LaurentPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return LaurentPoly({k: c * x for k, x in self.coeffs.items()})
+            return LaurentPoly({k: other * x for k, x in self.coeffs.items()})
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         out: dict[int, Fraction] = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                acc = out.get(k, 0) + c1 * c2
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+                out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly(out)
 
     def __rmul__(self, other):
@@ -214,10 +212,7 @@ class LaurentMatrix:
         )
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        self._same_dim(other)
-        return LaurentMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return self + (-other)
 
     def __neg__(self) -> "LaurentMatrix":
         return LaurentMatrix([[-a for a in r] for r in self.rows])

@@ -43,7 +43,6 @@ from lpakit.algebra import (
     normal_form,
     orthogonal_idempotent_family,
     paths_up_to,
-    special_edges,
     vertex_element,
     vertex_sum,
     zero,
@@ -51,6 +50,7 @@ from lpakit.algebra import (
 )
 from lpakit.classify import classify
 from lpakit.graph import Graph
+from lpakit.laurent import LaurentPoly
 from lpakit.skew import _bracket_pass
 
 
@@ -58,8 +58,8 @@ from lpakit.skew import _bracket_pass
 
 
 def test_special_edges_are_lex_least(toeplitz, fork2):
-    assert special_edges(toeplitz) == {"v": "c"}
-    assert special_edges(fork2) == {"u": "e1"}
+    assert toeplitz.least_out_edge == {"v": "c"}
+    assert fork2.least_out_edge == {"u": "e1"}
 
 
 def test_special_edges_are_freed_with_their_graph():
@@ -239,6 +239,25 @@ def test_mixed_graph_arithmetic_rejected(toeplitz, fork2):
         vertex_element(toeplitz, "v") + vertex_element(fork2, "u")
     with pytest.raises(MixedGraphs):
         vertex_element(toeplitz, "v") * vertex_element(fork2, "u")
+
+
+def test_floats_and_foreign_operands_are_rejected(toeplitz):
+    c = edge_element(toeplitz, "c")
+    m = next(iter(c.terms))
+    for inexact in (
+        lambda: c.scale(0.1),
+        lambda: c * 0.5,
+        lambda: 0.5 * c,
+        lambda: c + 1,
+        lambda: c - 1,
+        lambda: Element.from_terms(toeplitz, [(m, 0.5)]),
+        lambda: normal_form(toeplitz, [(m, 0.5)]),
+        lambda: LaurentPoly({0: 0.1}),
+        lambda: LaurentPoly.one() * 0.5,
+        lambda: LaurentPoly.one() + 1,
+    ):
+        with pytest.raises(TypeError):
+            inexact()
 
 
 def test_elements_are_not_hashable(toeplitz):

@@ -20,6 +20,7 @@ from helpers import (
 )
 
 from lpakit.algebra import (
+    MonomialTable,
     RowSpace,
     basis_monomials,
     edge_element,
@@ -42,6 +43,7 @@ from lpakit.skew import (
     lie_simplicity_evidence,
     skew_basis,
     skew_part,
+    _brackets,
 )
 
 
@@ -159,10 +161,24 @@ def test_witness_and_rank_match_the_sort_all_pairs_oracle(corpus, rng):
             assert bundle.ideal_containment == bracket_in_ideal(g, core, 2, 2), (name, n)
 
 
+def _grade(m) -> frozenset:
+    """The sign grading of p q^*: s(p), s(q) and each edge of p and q,
+    counted mod 2, as the set of names with odd count (vertex and edge
+    names are pairwise distinct)."""
+    counts = Counter((m.p.source, m.q.source) + m.p.edges + m.q.edges)
+    return frozenset(x for x, k in counts.items() if k % 2)
+
+
 def _assert_matches_the_element_oracle(g, n) -> None:
     """The integer kernel against the Element and Fraction routes it
     replaced: rank, witness and containment of the evidence bundle, the
-    reduced bracket space and an ideal slice."""
+    reduced bracket space and an ideal slice.  Also, every bracket of two
+    generators is homogeneous of the sum of their grades."""
+    table, gens = MonomialTable(g), skew_basis(g, n)
+    grades = [_grade(next(iter(x.terms))) for x in gens]  # m and m^* agree
+    for i, j, vec in _brackets(table, gens):
+        want = grades[i] ^ grades[j]
+        assert all(_grade(table.monomial(k)) == want for k in vec), (i, j)
     space, witness, _ = bracket_pass_oracle(g, n)
     bundle = lie_simplicity_evidence(g, n)
     assert bundle.bracket_space_dimension == space.rank
