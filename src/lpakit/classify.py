@@ -127,7 +127,7 @@ def hs_closure(g: Graph, xs: Iterable[str]) -> list[str]:
     return saturated_closure(g, hereditary_closure(g, xs))
 
 
-def _condensation(g: Graph) -> tuple[list[int], list[list[int]], list[bool]]:
+def _condensation(g: Graph) -> tuple[tuple[int, ...], list[list[int]], list[bool]]:
     """The strongly connected components of g as a DAG.
 
     Returns the component of each vertex (by declaration index), the
@@ -196,8 +196,13 @@ class SimplicityResult:
     exitless_cycle: Cycle | None = None
 
 
-def _unreaching_vertex(g: Graph) -> str | None:
+def _unreaching_vertex(g: Graph, cond, dropped: Container[str] = ()) -> str | None:
     """The first declared vertex that misses some essential component.
+
+    cond is _condensation(g).  The vertices in dropped are left out, as if
+    the question were asked of the subgraph on the others; each of them must
+    be its own strong component and receive no edge from the others, which
+    then reach one another exactly as they do in g.
 
     Reaching every essential component is the same as reaching every
     upstream-most one, which no other essential component reaches: each
@@ -205,7 +210,11 @@ def _unreaching_vertex(g: Graph) -> str | None:
     tracked as bitsets over the upstream-most components only, filled in
     successors first, TOPS_PER_PASS components per pass.
     """
-    comp, succ, essential = _condensation(g)
+    comp, succ, essential = cond
+    if dropped:
+        essential = essential.copy()
+        for v in dropped:
+            essential[comp[g.vertex_index[v]]] = False
     reached = [False] * len(succ)  # reached from some other essential one
     for c in reversed(range(len(succ))):  # predecessors first
         if reached[c] or essential[c]:
@@ -224,7 +233,33 @@ def _unreaching_vertex(g: Graph) -> str | None:
             reach[c] = r
             if r != full:
                 misses[c] = True
-    return next((v for v, c in zip(g.vertices, comp) if misses[c]), None)
+    return next((v for v, c in zip(g.vertices, comp) if misses[c] and v not in dropped), None)
+
+
+def _simplicity(g: Graph, cond, dropped: Container[str] = (),
+                known: tuple[str | None, SimplicityResult] | None = None,
+                ) -> tuple[str | None, SimplicityResult]:
+    """is_simple of the subgraph on the vertices outside dropped, read off
+    g's condensation cond, with the first vertex that misses an essential
+    component (None when there is none).  dropped is as for
+    _unreaching_vertex.
+
+    The certificates are those of the subgraph.  Its members have the same
+    out-edges in g, so their closures and exitless cycles in g are theirs in
+    the subgraph, provided no dropped vertex can be saturated into a closure
+    or lie on an exitless cycle.  known is the pair for g itself, returned
+    when the subgraph's first such vertex is g's (or both have none), since
+    the certificate is then the same.
+    """
+    v = _unreaching_vertex(g, cond, dropped)
+    if known is not None and known[0] == v:
+        return known
+    if v is not None:
+        return v, SimplicityResult(False, proper_hs_subset=tuple(hs_closure(g, [v])))
+    bad = exitless_cycles(g)
+    if bad:
+        return None, SimplicityResult(False, exitless_cycle=bad[0])
+    return None, SimplicityResult(True)
 
 
 def is_simple(g: Graph) -> SimplicityResult:
@@ -239,13 +274,7 @@ def is_simple(g: Graph) -> SimplicityResult:
     misses one, or else the first cycle without an exit.  Linear apart from
     the bitsets of _unreaching_vertex.
     """
-    v = _unreaching_vertex(g)
-    if v is not None:
-        return SimplicityResult(False, proper_hs_subset=tuple(hs_closure(g, [v])))
-    bad = exitless_cycles(g)
-    if bad:
-        return SimplicityResult(False, exitless_cycle=bad[0])
-    return SimplicityResult(True)
+    return _simplicity(g, _condensation(g))[1]
 
 
 # -- fibers, forks, balloons --------------------------------------------------
@@ -369,7 +398,9 @@ def classify(g: Graph) -> Classification:
             "graph is disconnected; the decomposition is applied to the whole "
             "graph, component by component effects are not modelled"
         )
-    simplicity = is_simple(g)
+    cond = _condensation(g)
+    known = _simplicity(g, cond)
+    simplicity = known[1]
 
     units = fiber_units(g)
     units_t = tuple(units)
@@ -420,8 +451,13 @@ def classify(g: Graph) -> Classification:
 
     # core is never empty here: a balloon candidate needs a non-loop edge,
     # and whatever that edge hits has an incoming edge besides any loop.
-    core_graph = g.subgraph(core)
-    core_result = is_simple(core_graph)
+    # The core is decided on g's condensation, without building it.  Each
+    # balloon and fiber-unit vertex is its own strong component, and no core
+    # vertex has an edge to one: a balloon receives only its loop, a unit
+    # touches no other edge.  No closure of core vertices saturates one in:
+    # a balloon's loop and a unit source's edge leave the closure, and a
+    # unit target is a sink.  And a balloon's loop has an exit.
+    core_result = _simplicity(g, cond, drop | balloon_set, known)[1]
     if not core_result.simple:
         what = (
             f"proper hereditary-saturated subset {list(core_result.proper_hs_subset)}"

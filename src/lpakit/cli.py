@@ -7,17 +7,19 @@ Three subcommands over the same graph file format:
 * algebra: dimensions, bracket-space dimensions, the 2x2 fiber check and
   the cycle model check.
 
-Exit codes: 0 success, 2 bad input (unreadable file, parse error, an
-undefined question such as the dimension of a cyclic graph), 3 an internal
-self-check failed (a relation table did not verify).  JSON output is
-schema-stable and key-sorted so runs are byte-identical.
+Exit codes: 0 success (also when the reader of stdout closes it early), 2
+bad input (unreadable file, parse error, an undefined question such as the
+dimension of a cyclic graph), 3 an internal self-check failed (a relation
+table did not verify).  JSON output is schema-stable and key-sorted so runs
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii as encode_str
 from pathlib import Path as FsPath
 
 from .algebra import AlgebraError, GraphHasCycle, dimension
@@ -58,11 +60,61 @@ def _read_graph(path: str) -> Graph:
     return parse_graph(text)
 
 
+def _write_json(x, write, indent: str = "\n") -> None:
+    """Write x as json.dump(x, indent=2, sort_keys=True) would, piece by
+    piece.  It takes dicts with str keys, lists, str, int, bool and None,
+    and raises TypeError on anything else.
+
+    json's indented encoder runs in pure Python; here every string goes
+    through json's C encoder, and a list of strings is encoded and joined in
+    one C call.  indent is the newline and the indentation of x's own line.
+    """
+    if isinstance(x, str):
+        write(encode_str(x))
+    elif x is None:
+        write("null")
+    elif x is True:
+        write("true")
+    elif x is False:
+        write("false")
+    elif isinstance(x, int):
+        write(int.__repr__(x))
+    elif isinstance(x, list):
+        if not x:
+            write("[]")
+            return
+        inner = indent + "  "
+        try:
+            body = ("," + inner).join(map(encode_str, x))
+        except TypeError:  # an item that is not a str
+            body = None
+        if body is not None:
+            write("[" + inner + body + indent + "]")
+            return
+        sep = "[" + inner
+        for item in x:
+            write(sep)
+            _write_json(item, write, inner)
+            sep = "," + inner
+        write(indent + "]")
+    elif isinstance(x, dict):
+        if not x:
+            write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            write(sep + encode_str(k) + ": ")  # TypeError unless k is a str
+            _write_json(x[k], write, inner)
+            sep = "," + inner
+        write(indent + "}")
+    else:
+        raise TypeError(f"{type(x).__name__} is not written as JSON")
+
+
 def _emit(report: dict | list, as_json: bool, render) -> None:
     if as_json:
-        # streamed: with indent, json encodes in pure Python, and dumps would
-        # join every chunk of a large report into one string first
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
+        _write_json(report, sys.stdout.write)
         sys.stdout.write("\n")
     else:
         for line in render(report):
@@ -392,7 +444,15 @@ def main(argv=None) -> int:
         print("classify needs a graph file or --corpus DIR", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed the pipe shows up here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader has all it wanted; point stdout at devnull so that the
+        # interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except (TableMismatch, RelationFailure) as exc:  # first: TableMismatch is a SkewError
         print(f"self-check failure: {exc}", file=sys.stderr)
         return 3

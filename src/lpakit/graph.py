@@ -162,6 +162,8 @@ class Graph:
         self._out = {v: tuple(lst) for v, lst in out.items()}
         self._in = {v: tuple(lst) for v, lst in inc.items()}
         self.least_out_edge: dict[str, str] = least
+        # filled by strong_components on first use
+        self._strong: tuple[int, ...] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -197,7 +199,7 @@ class Graph:
 
     def __reduce__(self):
         # rebuilt from names on load, so the loaded graph is re-validated
-        # and its lookup tables are not shipped
+        # and its lookup tables and component labelling are not shipped
         return Graph, (self.vertices, [(e.name, e.source, e.target) for e in self.edges])
 
     def __repr__(self) -> str:
@@ -317,15 +319,19 @@ def weak_components(g: Graph) -> list[list[str]]:
     return comps
 
 
-def strong_components(g: Graph) -> list[int]:
+def strong_components(g: Graph) -> tuple[int, ...]:
     """The strongly connected component of each vertex, by declaration index.
 
     Components are numbered in the order Tarjan completes them, which is
     reverse topological: an edge between two components runs from the
-    higher number to the lower.
+    higher number to the lower.  The labelling is computed once per graph,
+    on first use, and kept on it: one int per vertex, a function of the
+    adjacency alone.
     """
-    idx = g.vertex_index
-    return _tarjan([[idx[e.target] for e in g._out[v]] for v in g.vertices])
+    if g._strong is None:
+        idx = g.vertex_index
+        g._strong = tuple(_tarjan([[idx[e.target] for e in g._out[v]] for v in g.vertices]))
+    return g._strong
 
 
 def _tarjan(succ: list[list[int]], lo: int = 0) -> list[int]:

@@ -42,7 +42,8 @@ class RelationFailure(LaurentError):
 class LaurentPoly:
     """A rational Laurent polynomial as a sparse exponent -> coefficient map.
 
-    The constructor drops zero coefficients; the operators rely on it.
+    The constructor drops zero coefficients; the operators rely on it.  An
+    exponent that is not an int raises TypeError.
     """
 
     __slots__ = ("coeffs",)
@@ -51,9 +52,11 @@ class LaurentPoly:
         self.coeffs: dict[int, Fraction] = {}
         if coeffs:
             for k, c in coeffs.items():
+                if type(k) is not int:
+                    raise TypeError(f"exponents are int, not {type(k).__name__}")
                 c = as_scalar(c)
                 if c:
-                    self.coeffs[int(k)] = c
+                    self.coeffs[k] = c
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -206,6 +209,8 @@ class LaurentMatrix:
             raise InvalidDimension("dimension mismatch")
 
     def __add__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         self._same_dim(other)
         return LaurentMatrix(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
@@ -220,6 +225,8 @@ class LaurentMatrix:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return LaurentMatrix([[a * other for a in r] for r in self.rows])
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         self._same_dim(other)
         d = self.dim
         out = [[LaurentPoly.zero() for _ in range(d)] for _ in range(d)]

@@ -9,6 +9,7 @@ implementations on small inputs.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from bisect import bisect_left, bisect_right
 from itertools import combinations
@@ -30,7 +31,15 @@ from lpakit.algebra import (
     paths_up_to,
     zero,
 )
-from lpakit.classify import SimplicityResult, hereditary_closure, is_hereditary
+from lpakit.classify import (
+    Classification,
+    FailureReason,
+    SimplicityResult,
+    classify,
+    hereditary_closure,
+    is_hereditary,
+    is_simple,
+)
 from lpakit.graph import Cycle, Graph, TooManyCycles, exitless_cycles, parse_graph, weak_components
 from lpakit.graph import Path as GraphPath
 from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
@@ -312,6 +321,25 @@ def almost_simple_oracle(g: Graph) -> bool:
             if simple_oracle(rem.subgraph(core)):
                 return True
     return False
+
+
+def classify_by_subgraph(g: Graph) -> Classification:
+    """classify with both simplicity verdicts taken the way it once took
+    them: is_simple on g, and is_simple on a subgraph built on the core.
+    The decomposition itself is classify's."""
+    cls = classify(g)
+    reason = cls.failure_reason
+    if reason is None or reason.kind == "core_not_simple":
+        core = is_simple(g.subgraph(cls.core))
+        if core.simple:
+            reason = None
+        elif core.proper_hs_subset is not None:
+            reason = FailureReason(
+                "core_not_simple",
+                f"proper hereditary-saturated subset {list(core.proper_hs_subset)}")
+        else:
+            reason = FailureReason("core_not_simple", f"cycle without exit ({core.exitless_cycle})")
+    return replace(cls, almost_simple=reason is None, failure_reason=reason, simplicity=is_simple(g))
 
 
 def is_fork_oracle(g: Graph) -> bool:
@@ -615,3 +643,27 @@ def block_graphs(draw) -> Graph:
         pairs = st.tuples(st.integers(0, emitters - 1), st.integers(0, len(vs) - 1))
         es += [(f"x{j}", vs[a], vs[b]) for j, (a, b) in enumerate(draw(st.lists(pairs, max_size=10)))]
     return Graph(draw(st.permutations(vs)), es)
+
+
+@st.composite
+def decomposed_graphs(draw) -> Graph:
+    """A random core, up to three balloons over it (a loop and one or two
+    edges into the core each), up to two fiber units, and maybe one stray
+    edge anywhere, which can spoil a balloon or a unit: graphs from which
+    classify strips something, which few uniform random graphs are."""
+    core = [f"c{i}" for i in range(draw(st.integers(1, 5)))]
+    ends = st.integers(0, len(core) - 1)
+    es = [(f"x{j}", core[a], core[b])
+          for j, (a, b) in enumerate(draw(st.lists(st.tuples(ends, ends), max_size=8)))]
+    vs = list(core)
+    for k in range(draw(st.integers(0, 3))):
+        vs.append(f"b{k}")
+        es.append((f"l{k}", f"b{k}", f"b{k}"))
+        es += [(f"y{k}_{j}", f"b{k}", core[a])
+               for j, a in enumerate(draw(st.lists(ends, min_size=1, max_size=2)))]
+    for k in range(draw(st.integers(0, 2))):
+        vs += [f"s{k}", f"t{k}"]
+        es.append((f"f{k}", f"s{k}", f"t{k}"))
+    if draw(st.booleans()):
+        es.append(("z", draw(st.sampled_from(vs)), draw(st.sampled_from(vs))))
+    return Graph(draw(st.permutations(vs)), draw(st.permutations(es)))

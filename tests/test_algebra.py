@@ -50,7 +50,7 @@ from lpakit.algebra import (
 )
 from lpakit.classify import classify
 from lpakit.graph import Graph
-from lpakit.laurent import LaurentPoly
+from lpakit.laurent import LaurentMatrix, LaurentPoly
 from lpakit.skew import _bracket_pass
 
 
@@ -255,6 +255,12 @@ def test_floats_and_foreign_operands_are_rejected(toeplitz):
         lambda: LaurentPoly({0: 0.1}),
         lambda: LaurentPoly.one() * 0.5,
         lambda: LaurentPoly.one() + 1,
+        lambda: LaurentPoly({1.5: 1}),
+        lambda: LaurentPoly({Fraction(1): 1}),
+        lambda: LaurentMatrix.identity(2) + 1,
+        lambda: LaurentMatrix.identity(2) - 1,
+        lambda: LaurentMatrix.identity(2) * 0.5,
+        lambda: 0.5 * LaurentMatrix.identity(2),
     ):
         with pytest.raises(TypeError):
             inexact()

@@ -12,6 +12,8 @@ from helpers import (
     almost_simple_oracle,
     block_graphs,
     build,
+    classify_by_subgraph,
+    decomposed_graphs,
     fiber_unit_edges_oracle,
     hs_closure_oracle,
     hs_closure_rescan,
@@ -425,7 +427,9 @@ def test_vanishing_family_on_many_components():
 
 def test_shape_tests_build_no_throwaway_subgraphs(corpus, monkeypatch):
     calls = Counter()
-    for owner, attr in ((Graph, "subgraph"), (sys.modules["lpakit.classify"], "weak_components")):
+    classify_module = sys.modules["lpakit.classify"]
+    for owner, attr in ((Graph, "subgraph"), (classify_module, "weak_components"),
+                        (classify_module, "strong_components")):
         original = getattr(owner, attr)
 
         def counted(*args, _original=original, _attr=attr, **kwargs):
@@ -439,7 +443,13 @@ def test_shape_tests_build_no_throwaway_subgraphs(corpus, monkeypatch):
     assert not calls
     for name, g in corpus.items():
         calls.clear()
-        cls = classify(g)
-        reason = cls.failure_reason
-        reached_core = reason is None or reason.kind == "core_not_simple"
-        assert calls["subgraph"] == reached_core, name
+        classify(g)
+        # one condensation serves the graph and its core
+        assert calls["subgraph"] == 0, name
+        assert calls["strong_components"] == 1, name
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(st.one_of(multigraphs(), block_graphs(), decomposed_graphs()))
+def test_classify_matches_the_subgraph_route(g):
+    assert classify(g) == classify_by_subgraph(g)

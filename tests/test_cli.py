@@ -1,12 +1,20 @@
+import io
 import json
+import os
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import CORPUS
+from helpers import CORPUS, corpus_names
 
-from lpakit.cli import main
+import lpakit
+from lpakit.cli import _write_json, main
+from lpakit.graph import Graph, serialize_graph
 
 
 def run_cli(*args, capsys=None):
@@ -267,3 +275,75 @@ def test_self_check_failure_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "validate_classification", lambda g, cls: False)
     code, _, err = run_cli("classify", GRAPH, capsys=capsys)
     assert code == 3 and "self-check" in err
+
+
+def test_inspect_runs_tarjan_on_the_whole_graph_once(monkeypatch, capsys):
+    # Johnson's search runs Tarjan again inside each component; those calls
+    # are not counted
+    graph_module = sys.modules["lpakit.graph"]
+    tarjan, component_cycles = graph_module._tarjan, graph_module._component_cycles
+    calls = Counter()
+
+    def counted_tarjan(*args):
+        calls["whole graph" if not calls["inside"] else "component"] += 1
+        return tarjan(*args)
+
+    def inside_component_cycles(*args):
+        calls["inside"] += 1
+        try:
+            return component_cycles(*args)
+        finally:
+            calls["inside"] -= 1
+
+    monkeypatch.setattr(graph_module, "_tarjan", counted_tarjan)
+    monkeypatch.setattr(graph_module, "_component_cycles", inside_component_cycles)
+    for name in corpus_names():
+        calls["whole graph"] = 0
+        code, _, _ = run_cli("inspect", str(CORPUS / f"{name}.graph"), "--json", capsys=capsys)
+        assert code == 0
+        assert calls["whole graph"] == 1, name
+    assert calls["component"]  # Johnson's search ran too
+
+
+def test_closed_stdout_exits_0(tmp_path):
+    # the report is far larger than a pipe's buffer, so the writer meets
+    # the closed pipe
+    n = 20_000
+    big = tmp_path / "big.graph"
+    big.write_text(serialize_graph(Graph(
+        [f"v{i}" for i in range(n)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(n - 1)])))
+    src = str(Path(lpakit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "lpakit", "inspect", str(big), "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+# every str key and value is written as json.dumps writes it: quotes,
+# backslashes, control characters and non-ASCII text included
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(json_values)
+@example({"a\"b": ["\x00\n\t\\", "\u00e9\u4e2d\U0001f600"], "": [], "z": {}, "k": [[], {}, None]})
+@example([True, False, None, -(2**80), "s", ["x", "y"], {"b": 1, "a": [2]}])
+def test_json_writer_matches_json_dumps(x):
+    out = io.StringIO()
+    _write_json(x, out.write)
+    assert out.getvalue() == json.dumps(x, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("x", [1.5, ("a",), {1: "a"}, ["a", {"k": {"a", "b"}}], b"bytes"])
+def test_json_writer_rejects_other_types(x):
+    with pytest.raises(TypeError):
+        _write_json(x, io.StringIO().write)
