@@ -37,7 +37,7 @@ from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
 from .classify import classify, is_hereditary
-from .graph import Graph, Path, path_key
+from .graph import Graph, Path, condensation, path_key
 
 Scalar = Fraction
 
@@ -359,25 +359,21 @@ def dimension(g: Graph) -> int:
     at v (the algebra is the direct sum of the N(v) x N(v) matrices: Abrams,
     Aranda Pino and Siles Molina, J. Pure Appl. Algebra 209, 2007).  In
     basis terms, the monomials with range v number N(v)^2, and at a non-sink v
-    exactly N(v)^2 of them end with v's special edge on both sides.  One
-    pass in topological order gives N(v) = 1 + the sum of N(s(e)) over the
-    edges e into v, and misses some vertex exactly when there is a cycle.
+    exactly N(v)^2 of them end with v's special edge on both sides.
+
+    Read off g's cached condensation: a cyclic component raises
+    GraphHasCycle, and otherwise every component is one vertex.  Walking the
+    components in decreasing number puts predecessors first, so N(v) = 1 +
+    the sum of N(s(e)) over the edges e into v is final when v is reached.
     """
-    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
-    count = dict.fromkeys(g.vertices, 1)  # N(v), final once v is ready
-    ready = [v for v in g.vertices if indeg[v] == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for e in g.out_edges(v):
-            count[e.target] += count[v]
-            indeg[e.target] -= 1
-            if indeg[e.target] == 0:
-                ready.append(e.target)
-    if seen != len(g.vertices):
+    _, succ, cyclic = condensation(g)
+    if any(cyclic):
         raise GraphHasCycle("infinitely many paths")
-    return sum(count[v] ** 2 for v in g.vertices if g.is_sink(v))
+    count = [1] * len(succ)  # N of each component's one vertex
+    for c in reversed(range(len(succ))):
+        for d in succ[c]:
+            count[d] += count[c]
+    return sum(n * n for n, out in zip(count, succ) if not out)
 
 
 # -- the integer core ------------------------------------------------------------

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Container, Iterable
+from typing import Collection, Container, Iterable
 
-from .graph import Cycle, Edge, Graph, exitless_cycles, strong_components, weak_components
+from .graph import Cycle, Edge, Graph, condensation, exitless_cycles, weak_components
 
 HS_ENUM_LIMIT = 12
 # Upstream-most essential components per reachability pass of is_simple: the
@@ -127,30 +127,6 @@ def hs_closure(g: Graph, xs: Iterable[str]) -> list[str]:
     return saturated_closure(g, hereditary_closure(g, xs))
 
 
-def _condensation(g: Graph) -> tuple[tuple[int, ...], list[list[int]], list[bool]]:
-    """The strongly connected components of g as a DAG.
-
-    Returns the component of each vertex (by declaration index), the
-    components each component has an edge into, and which components are
-    essential: a sink vertex, or a component carrying a cycle (a loop
-    included).  Components are numbered successors first.
-    """
-    comp = strong_components(g)
-    idx = g.vertex_index
-    succ: list[list[int]] = [[] for _ in range(max(comp) + 1)]
-    essential = [False] * len(succ)
-    for v in g.vertices:
-        if not g._out[v]:
-            essential[comp[idx[v]]] = True
-    for e in g.edges:
-        a, b = comp[idx[e.source]], comp[idx[e.target]]
-        if a == b:
-            essential[a] = True
-        else:
-            succ[a].append(b)
-    return comp, succ, essential
-
-
 def smallest_hs_subset(g: Graph) -> list[str] | None:
     """The least nonempty hereditary-saturated subset, or None.
 
@@ -161,7 +137,7 @@ def smallest_hs_subset(g: Graph) -> list[str] | None:
     disjoint and there is no least subset.  With exactly one, T, every such
     W contains hs_closure(T), which is hs_closure of any one vertex of T.
     """
-    comp, succ, _ = _condensation(g)
+    comp, succ, _ = condensation(g)
     terminal = [c for c, out in enumerate(succ) if not out]
     if len(terminal) > 1:
         return None
@@ -196,13 +172,14 @@ class SimplicityResult:
     exitless_cycle: Cycle | None = None
 
 
-def _unreaching_vertex(g: Graph, cond, dropped: Container[str] = ()) -> str | None:
-    """The first declared vertex that misses some essential component.
+def _unreaching_vertex(g: Graph, dropped: Collection[str] = ()) -> str | None:
+    """The first declared vertex that misses some essential component of
+    g's condensation: one that carries a cycle or has no successor.
 
-    cond is _condensation(g).  The vertices in dropped are left out, as if
-    the question were asked of the subgraph on the others; each of them must
-    be its own strong component and receive no edge from the others, which
-    then reach one another exactly as they do in g.
+    The vertices in dropped are left out, as if the question were asked of
+    the subgraph on the others; each of them must be its own strong
+    component and receive no edge from the others, which then reach one
+    another exactly as they do in g.
 
     Reaching every essential component is the same as reaching every
     upstream-most one, which no other essential component reaches: each
@@ -210,11 +187,10 @@ def _unreaching_vertex(g: Graph, cond, dropped: Container[str] = ()) -> str | No
     tracked as bitsets over the upstream-most components only, filled in
     successors first, TOPS_PER_PASS components per pass.
     """
-    comp, succ, essential = cond
-    if dropped:
-        essential = essential.copy()
-        for v in dropped:
-            essential[comp[g.vertex_index[v]]] = False
+    comp, succ, cyclic = condensation(g)
+    essential = [c or not out for c, out in zip(cyclic, succ)]
+    for v in dropped:
+        essential[comp[g.vertex_index[v]]] = False
     reached = [False] * len(succ)  # reached from some other essential one
     for c in reversed(range(len(succ))):  # predecessors first
         if reached[c] or essential[c]:
@@ -236,11 +212,11 @@ def _unreaching_vertex(g: Graph, cond, dropped: Container[str] = ()) -> str | No
     return next((v for v, c in zip(g.vertices, comp) if misses[c] and v not in dropped), None)
 
 
-def _simplicity(g: Graph, cond, dropped: Container[str] = (),
+def _simplicity(g: Graph, dropped: Collection[str] = (),
                 known: tuple[str | None, SimplicityResult] | None = None,
                 ) -> tuple[str | None, SimplicityResult]:
     """is_simple of the subgraph on the vertices outside dropped, read off
-    g's condensation cond, with the first vertex that misses an essential
+    g's condensation, with the first vertex that misses an essential
     component (None when there is none).  dropped is as for
     _unreaching_vertex.
 
@@ -251,7 +227,7 @@ def _simplicity(g: Graph, cond, dropped: Container[str] = (),
     when the subgraph's first such vertex is g's (or both have none), since
     the certificate is then the same.
     """
-    v = _unreaching_vertex(g, cond, dropped)
+    v = _unreaching_vertex(g, dropped)
     if known is not None and known[0] == v:
         return known
     if v is not None:
@@ -274,7 +250,7 @@ def is_simple(g: Graph) -> SimplicityResult:
     misses one, or else the first cycle without an exit.  Linear apart from
     the bitsets of _unreaching_vertex.
     """
-    return _simplicity(g, _condensation(g))[1]
+    return _simplicity(g)[1]
 
 
 # -- fibers, forks, balloons --------------------------------------------------
@@ -398,8 +374,7 @@ def classify(g: Graph) -> Classification:
             "graph is disconnected; the decomposition is applied to the whole "
             "graph, component by component effects are not modelled"
         )
-    cond = _condensation(g)
-    known = _simplicity(g, cond)
+    known = _simplicity(g)
     simplicity = known[1]
 
     units = fiber_units(g)
@@ -457,7 +432,7 @@ def classify(g: Graph) -> Classification:
     # touches no other edge.  No closure of core vertices saturates one in:
     # a balloon's loop and a unit source's edge leave the closure, and a
     # unit target is a sink.  And a balloon's loop has an exit.
-    core_result = _simplicity(g, cond, drop | balloon_set, known)[1]
+    core_result = _simplicity(g, drop | balloon_set, known)[1]
     if not core_result.simple:
         what = (
             f"proper hereditary-saturated subset {list(core_result.proper_hs_subset)}"

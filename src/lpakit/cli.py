@@ -322,11 +322,17 @@ def cmd_inspect(args) -> int:
 
 def cmd_algebra(args) -> int:
     g = _read_graph(args.file)
-    what = args.what
-    if args.cycle_check is not None:
-        what = "cycle-check"
-    elif args.fiber is not None and what is None:
-        what = "m2-check"
+    what = given = args.what
+    # each flag belongs to one question, and implies it when none is given
+    for flag, value, question in (("--fiber", args.fiber, "m2-check"),
+                                  ("--cycle-check", args.cycle_check, "cycle-check")):
+        if value is None:
+            continue
+        if what is None:
+            what, given = question, flag
+        elif what != question:
+            print(f"{flag} belongs to {question} and cannot go with {given}", file=sys.stderr)
+            return 2
     if what is None:
         print("nothing to do: pick dim, skew-dim, bracket-dim, m2-check or cycle-check",
               file=sys.stderr)

@@ -162,8 +162,8 @@ class Graph:
         self._out = {v: tuple(lst) for v, lst in out.items()}
         self._in = {v: tuple(lst) for v, lst in inc.items()}
         self.least_out_edge: dict[str, str] = least
-        # filled by strong_components on first use
-        self._strong: tuple[int, ...] | None = None
+        # filled by condensation on first use
+        self._cond: tuple | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -199,7 +199,7 @@ class Graph:
 
     def __reduce__(self):
         # rebuilt from names on load, so the loaded graph is re-validated
-        # and its lookup tables and component labelling are not shipped
+        # and its lookup tables and condensation are not shipped
         return Graph, (self.vertices, [(e.name, e.source, e.target) for e in self.edges])
 
     def __repr__(self) -> str:
@@ -319,19 +319,37 @@ def weak_components(g: Graph) -> list[list[str]]:
     return comps
 
 
-def strong_components(g: Graph) -> tuple[int, ...]:
-    """The strongly connected component of each vertex, by declaration index.
+def condensation(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+    """The strongly connected components of g as a DAG: comp, succ, cyclic.
 
-    Components are numbered in the order Tarjan completes them, which is
-    reverse topological: an edge between two components runs from the
-    higher number to the lower.  The labelling is computed once per graph,
-    on first use, and kept on it: one int per vertex, a function of the
-    adjacency alone.
+    comp[i] is the component of the i-th declared vertex.  Components are
+    numbered in the order Tarjan completes them, which is reverse
+    topological: an edge between two components runs from the higher
+    number to the lower.  succ[c] lists the component at the far end of
+    each edge leaving c, once per edge, and cyclic[c] says whether c carries
+    a cycle (a loop included).  Computed once per graph, on first use, and
+    kept on it: a function of the adjacency alone.
     """
-    if g._strong is None:
+    if g._cond is None:
         idx = g.vertex_index
-        g._strong = tuple(_tarjan([[idx[e.target] for e in g._out[v]] for v in g.vertices]))
-    return g._strong
+        targets = [[idx[e.target] for e in g._out[v]] for v in g.vertices]
+        comp = tuple(_tarjan(targets))
+        succ: list[list[int]] = [[] for _ in range(max(comp) + 1)]
+        cyclic = [False] * len(succ)
+        for a, ts in zip(comp, targets):
+            for t in ts:
+                if comp[t] == a:
+                    cyclic[a] = True
+                else:
+                    succ[a].append(comp[t])
+        g._cond = comp, tuple(map(tuple, succ)), tuple(cyclic)
+    return g._cond
+
+
+def strong_components(g: Graph) -> tuple[int, ...]:
+    """The strongly connected component of each vertex, by declaration
+    index, numbered as in condensation."""
+    return condensation(g)[0]
 
 
 def _tarjan(succ: list[list[int]], lo: int = 0) -> list[int]:
@@ -385,40 +403,27 @@ def _tarjan(succ: list[list[int]], lo: int = 0) -> list[int]:
 # -- cycles -----------------------------------------------------------------
 
 
-def _rotate_to_least(g: Graph, edge_names: list[str]) -> Cycle:
-    verts = [g.edge_map[e].source for e in edge_names]
-    k = min(range(len(verts)), key=lambda i: g.vertex_index[verts[i]])
-    edge_names = edge_names[k:] + edge_names[:k]
-    verts = verts[k:] + verts[:k]
-    return Cycle(tuple(edge_names), tuple(verts))
-
-
 def exitless_cycles(g: Graph) -> list[Cycle]:
     """Cycles none of whose vertices has an edge leaving the cycle.
 
-    Every vertex on such a cycle has out-degree exactly 1, so it is enough
-    to follow unique out-edges inside the out-degree-1 subgraph.  Linear
-    time; no general cycle enumeration.
+    Such a cycle is a whole strong component: one that carries a cycle and
+    whose vertices each emit exactly one edge, which then stays inside it.
+    Read off the cached condensation; each cycle is listed from its
+    least-declared vertex, in declaration order of those vertices.
     """
-    next_edge = {v: g._out[v][0] for v in g.vertices if len(g._out[v]) == 1}
-    state: dict[str, int] = {}  # 0 in progress, 1 done
+    comp, _, cyclic = condensation(g)
+    exitless = list(cyclic)
+    for v, c in zip(g.vertices, comp):
+        if len(g._out[v]) != 1:
+            exitless[c] = False
     out: list[Cycle] = []
-    for start in g.vertices:
-        if start not in next_edge or state.get(start) == 1:
-            continue
-        trail: list[str] = []
-        pos: dict[str, int] = {}
-        v = start
-        while v in next_edge and state.get(v) != 1 and v not in pos:
-            pos[v] = len(trail)
-            trail.append(v)
-            v = next_edge[v].target
-        if v in pos:  # closed a new cycle
-            cyc = trail[pos[v]:]
-            out.append(_rotate_to_least(g, [next_edge[u].name for u in cyc]))
-        for u in trail:
-            state[u] = 1
-    out.sort(key=lambda c: g.vertex_index[c.vertices[0]])
+    for start, c in zip(g.vertices, comp):
+        if exitless[c]:
+            exitless[c] = False
+            walk = [g._out[start][0]]
+            while walk[-1].target != start:
+                walk.append(g._out[walk[-1].target][0])
+            out.append(Cycle(tuple(e.name for e in walk), tuple(e.source for e in walk)))
     return out
 
 

@@ -261,6 +261,34 @@ def exitless_cycle_exists_oracle(g: Graph) -> bool:
     return False
 
 
+def exitless_cycles_walk(g: Graph) -> list[Cycle]:
+    """exitless_cycles by following unique out-edges inside the
+    out-degree-1 subgraph: every vertex on a cycle without an exit has
+    out-degree exactly 1.  Each cycle closed by a walk is rotated to start
+    at its least-declared vertex, and the cycles are sorted by that vertex."""
+    next_edge = {v: g.out_edges(v)[0] for v in g.vertices if len(g.out_edges(v)) == 1}
+    done: set[str] = set()
+    out: list[Cycle] = []
+    for start in g.vertices:
+        if start not in next_edge or start in done:
+            continue
+        trail: list[str] = []
+        pos: dict[str, int] = {}
+        v = start
+        while v in next_edge and v not in done and v not in pos:
+            pos[v] = len(trail)
+            trail.append(v)
+            v = next_edge[v].target
+        if v in pos:  # closed a new cycle
+            verts = trail[pos[v]:]
+            k = min(range(len(verts)), key=lambda i: g.vertex_index[verts[i]])
+            verts = verts[k:] + verts[:k]
+            out.append(Cycle(tuple(next_edge[u].name for u in verts), tuple(verts)))
+        done.update(trail)
+    out.sort(key=lambda c: g.vertex_index[c.vertices[0]])
+    return out
+
+
 def simple_oracle(g: Graph) -> bool:
     n = len(g.vertices)
     if any(0 < len(s) < n for s in all_hs_subsets(g)):
@@ -367,14 +395,9 @@ def is_vanishing_family_oracle(g: Graph) -> bool:
 # -- dimension, by path counting ------------------------------------------------
 
 
-def dimension_oracle(g: Graph) -> int:
-    """Count basis monomials by the path-pair formula.
-
-    Monomials with range v pair off the P(v) paths ending at v, so they
-    number P(v)^2.  Each non-sink v contributes exactly P(v)^2 excluded
-    pairs: those whose two paths both continue through v's rewrite edge.
-    Hence dim = sum_v P(v)^2 - sum_{v non-sink} P(v)^2, acyclic case only.
-    """
+def path_counts(g: Graph) -> dict[str, int]:
+    """N(v), the number of paths ending at v, by memoised recursion over the
+    in-edges; acyclic graphs only."""
     memo: dict[str, int] = {}
 
     def paths_to(v: str) -> int:
@@ -382,8 +405,32 @@ def dimension_oracle(g: Graph) -> int:
             memo[v] = 1 + sum(paths_to(e.source) for e in g.in_edges(v))
         return memo[v]
 
-    total = sum(paths_to(v) ** 2 for v in g.vertices)
-    excluded = sum(paths_to(v) ** 2 for v in g.vertices if g.out_edges(v))
+    return {v: paths_to(v) for v in g.vertices}
+
+
+def longest_path(g: Graph) -> int:
+    """The number of edges on a longest path; acyclic graphs only."""
+    memo: dict[str, int] = {}
+
+    def ending_at(v: str) -> int:
+        if v not in memo:
+            memo[v] = max((1 + ending_at(e.source) for e in g.in_edges(v)), default=0)
+        return memo[v]
+
+    return max(ending_at(v) for v in g.vertices)
+
+
+def dimension_oracle(g: Graph) -> int:
+    """Count basis monomials by the path-pair formula.
+
+    Monomials with range v pair off the N(v) paths ending at v, so they
+    number N(v)^2.  Each non-sink v contributes exactly N(v)^2 excluded
+    pairs: those whose two paths both continue through v's rewrite edge.
+    Hence dim = sum_v N(v)^2 - sum_{v non-sink} N(v)^2, acyclic case only.
+    """
+    count = path_counts(g)
+    total = sum(n ** 2 for n in count.values())
+    excluded = sum(count[v] ** 2 for v in g.vertices if g.out_edges(v))
     return total - excluded
 
 
@@ -597,6 +644,20 @@ def multigraphs(draw, max_vertices: int = 8, max_edges: int = 12) -> Graph:
     vs = [f"v{i}" for i in range(n)]
     ends = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(ends, ends), max_size=max_edges))
+    order = draw(st.permutations(vs))
+    return Graph(order, [(f"e{j}", vs[a], vs[b]) for j, (a, b) in enumerate(pairs)])
+
+
+@st.composite
+def acyclic_multigraphs(draw, max_vertices: int = 6, max_edges: int = 7) -> Graph:
+    """Random acyclic multigraphs (parallel edges allowed, every edge from a
+    lower to a higher vertex number) in a random declaration order."""
+    n = draw(st.integers(1, max_vertices))
+    vs = [f"v{i}" for i in range(n)]
+    pairs = []
+    if n > 1:
+        ends = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+        pairs = [sorted(ab) for ab in draw(st.lists(ends, max_size=max_edges))]
     order = draw(st.permutations(vs))
     return Graph(order, [(f"e{j}", vs[a], vs[b]) for j, (a, b) in enumerate(pairs)])
 

@@ -2,6 +2,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     FractionRowSpace,
+    acyclic_multigraphs,
+    cycles_oracle,
     dimension_oracle,
     load,
     multigraphs,
@@ -326,6 +329,27 @@ def test_dimension_matches_path_count_oracle(rng):
         assert dimension(g) == dimension_oracle(g)
         # paths of an acyclic graph are at most |V| - 1 long
         assert dimension(g) == len(basis_monomials(g, 2 * (len(g.vertices) - 1)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(acyclic_multigraphs(max_vertices=8, max_edges=12) | multigraphs())
+def test_dimension_matches_the_oracle_or_finds_the_cycle(g):
+    # declaration order is random, so the pass cannot lean on it
+    if cycles_oracle(g):
+        with pytest.raises(GraphHasCycle):
+            dimension(g)
+    else:
+        assert dimension(g) == dimension_oracle(g)
+
+
+def test_dimension_reuses_the_cached_condensation(corpus, monkeypatch):
+    graph_module = sys.modules["lpakit.graph"]
+    tarjan, calls = graph_module._tarjan, []
+    monkeypatch.setattr(graph_module, "_tarjan", lambda *args: calls.append(1) or tarjan(*args))
+    g = load("convergent")
+    assert dimension(g) == 9 and len(calls) == 1
+    classify(g)
+    assert dimension(g) == 9 and len(calls) == 1
 
 
 def _diamond_chain(k: int) -> Graph:

@@ -1,6 +1,7 @@
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from helpers import (
 
 from lpakit.classify import (
     EmptyBaseSet,
+    FiberUnit,
     GraphTooLarge,
     SimplicityResult,
     classify,
@@ -368,9 +370,26 @@ def test_validate_classification(corpus, rng):
         assert validate_classification(g, classify(g))
 
 
-def test_validate_rejects_tampered_classification(toeplitz):
-    from dataclasses import replace
+@pytest.mark.parametrize("name, change", [
+    # the parts no longer cover the vertices
+    ("toeplitz", {"balloons": ()}),
+    # a unit whose edge is not a fiber, over the same two vertices
+    ("fiber_plus_toeplitz", {"fiber_units": (FiberUnit("u", "c", "w"),)}),
+    # no core left
+    ("toeplitz", {"core": (), "balloons": ("v", "w")}),
+    # a balloon moved into the core, which is then not simple
+    ("balloon_core2", {"core": ("a", "b", "p"), "balloons": ()}),
+    # a simple core, but vertices that are not balloons over it called balloons
+    ("convergent", {"core": ("w",), "balloons": ("u1", "u2")}),
+], ids=["partition", "fiber unit", "empty core", "core not simple", "balloon set"])
+def test_validate_rejects_each_broken_clause(corpus, name, change):
+    g = corpus[name]
+    cls = classify(g)
+    assert cls.almost_simple and validate_classification(g, cls)
+    assert not validate_classification(g, replace(cls, **change))
 
+
+def test_validate_rejects_tampered_classification(toeplitz):
     cls = classify(toeplitz)
     bad = replace(cls, core=("v",), balloons=("w",))
     assert not validate_classification(toeplitz, bad)
@@ -427,9 +446,9 @@ def test_vanishing_family_on_many_components():
 
 def test_shape_tests_build_no_throwaway_subgraphs(corpus, monkeypatch):
     calls = Counter()
-    classify_module = sys.modules["lpakit.classify"]
+    classify_module, graph_module = sys.modules["lpakit.classify"], sys.modules["lpakit.graph"]
     for owner, attr in ((Graph, "subgraph"), (classify_module, "weak_components"),
-                        (classify_module, "strong_components")):
+                        (graph_module, "_tarjan")):
         original = getattr(owner, attr)
 
         def counted(*args, _original=original, _attr=attr, **kwargs):
@@ -441,12 +460,13 @@ def test_shape_tests_build_no_throwaway_subgraphs(corpus, monkeypatch):
         is_fork(g)
         is_vanishing_family(g)
     assert not calls
-    for name, g in corpus.items():
+    for name in corpus:
+        g = load(name)  # fresh, so no condensation is cached on it yet
         calls.clear()
         classify(g)
         # one condensation serves the graph and its core
         assert calls["subgraph"] == 0, name
-        assert calls["strong_components"] == 1, name
+        assert calls["_tarjan"] == 1, name
 
 
 @settings(max_examples=600, derandomize=True, database=None, deadline=None)

@@ -184,6 +184,23 @@ def test_inspect_max_cycles(capsys):
     assert report["cycles_truncated"] is True and report["cycles"] == []
 
 
+def test_inspect_text_when_the_cycle_cap_is_hit(capsys):
+    code, out, _ = run_cli(
+        "inspect", str(CORPUS / "loop_two_exits.graph"), "--max-cycles", "2", capsys=capsys)
+    assert code == 0 and "cycles: more than 2\n" in out
+
+
+def test_inspect_text_skips_subsets_past_twelve_vertices(tmp_path, capsys):
+    path = tmp_path / "path13.graph"
+    path.write_text(serialize_graph(Graph(
+        [f"v{i}" for i in range(13)], [(f"e{i}", f"v{i}", f"v{i + 1}") for i in range(12)])))
+    code, out, _ = run_cli("inspect", str(path), capsys=capsys)
+    assert code == 0
+    assert "hereditary-saturated subsets: skipped (too many vertices)\n" in out
+    # saturation climbs the path from its sink
+    assert "smallest hereditary-saturated subset: {" + " ".join(f"v{i}" for i in range(13)) + "}\n" in out
+
+
 def test_inspect_rejects_max_cycles_below_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["inspect", str(CORPUS / "loop.graph"), "--max-cycles", "0"])
@@ -251,6 +268,37 @@ def test_algebra_cycle_check(capsys):
 def test_algebra_cycle_check_bad_dimension(capsys):
     code, _, err = run_cli("algebra", GRAPH, "--cycle-check", "9", capsys=capsys)
     assert code == 2
+
+
+def test_algebra_fiber_alone_implies_m2_check(capsys):
+    fiber = str(CORPUS / "fiber.graph")
+    code, out, _ = run_cli("algebra", fiber, "--fiber", "e", capsys=capsys)
+    assert code == 0 and "what: m2-check" in out
+    assert run_cli("algebra", fiber, "m2-check", "--fiber", "e", capsys=capsys) == (0, out, "")
+
+
+def test_algebra_cycle_check_needs_its_dimension(capsys):
+    code, _, err = run_cli("algebra", GRAPH, "cycle-check", capsys=capsys)
+    assert code == 2 and "needs --cycle-check" in err
+
+
+@pytest.mark.parametrize("args, names", [
+    (["dim", "--cycle-check", "3"], ["--cycle-check", "dim"]),
+    (["m2-check", "--cycle-check", "3"], ["--cycle-check", "m2-check"]),
+    (["skew-dim", "--fiber", "e"], ["--fiber", "skew-dim"]),
+    (["cycle-check", "--fiber", "e", "--cycle-check", "3"], ["--fiber", "cycle-check"]),
+    (["--fiber", "e", "--cycle-check", "3"], ["--cycle-check", "--fiber"]),
+])
+def test_algebra_rejects_a_flag_of_another_question(capsys, args, names):
+    code, out, err = run_cli("algebra", str(CORPUS / "fiber.graph"), *args, capsys=capsys)
+    assert code == 2 and out == ""
+    assert all(name in err for name in names), err
+
+
+def test_algebra_cycle_check_may_name_its_question(capsys):
+    code, out, _ = run_cli("algebra", GRAPH, "cycle-check", "--cycle-check", "2", capsys=capsys)
+    assert code == 0
+    assert run_cli("algebra", GRAPH, "--cycle-check", "2", capsys=capsys) == (0, out, "")
 
 
 def test_algebra_needs_a_question(capsys):

@@ -1,4 +1,5 @@
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 import lpakit
 from helpers import (
     CORPUS,
+    block_graphs,
     build,
     canon_cycles,
     cycles_oracle,
     enumerate_cycles_dfs,
+    exitless_cycles_walk,
     load,
     multigraphs,
     random_graph,
@@ -30,6 +33,7 @@ from lpakit.graph import (
     MalformedLine,
     TooManyCycles,
     UnknownVertex,
+    condensation,
     enumerate_cycles,
     exitless_cycles,
     parse_graph,
@@ -96,6 +100,18 @@ def test_unknown_endpoint_rejected():
         parse_graph("vertex v\nedge e v w\n")
 
 
+def test_constructor_validates_its_arguments():
+    # direct construction: parse_graph checks names and emptiness itself first
+    with pytest.raises(MalformedLine, match="bad vertex name"):
+        Graph(["a-b"], [])
+    with pytest.raises(MalformedLine, match="bad edge name"):
+        Graph(["v"], [("e!", "v", "v")])
+    with pytest.raises(UnknownVertex, match="unknown source"):
+        Graph(["v"], [("e", "w", "v")])
+    with pytest.raises(EmptyGraph):
+        Graph([], [])
+
+
 # -- structure queries -----------------------------------------------------------
 
 
@@ -125,6 +141,27 @@ def test_components_match_their_definitions(g):
             assert (comp[i] == comp[j]) == (v in below[u] and u in below[v])
     idx = g.vertex_index
     assert all(comp[idx[e.source]] >= comp[idx[e.target]] for e in g.edges)
+    # the rest of the condensation: one successor per edge between two
+    # components, and a cycle exactly where an edge stays inside one
+    same, succ, cyclic = condensation(g)
+    assert same == comp
+    assert list(range(len(succ))) == sorted(set(comp))
+    ends = [(comp[idx[e.source]], comp[idx[e.target]]) for e in g.edges]
+    for c in range(len(succ)):
+        assert sorted(succ[c]) == sorted(b for a, b in ends if a == c != b)
+        assert cyclic[c] == any(a == b == c for a, b in ends)
+
+
+def test_condensation_is_kept_on_its_graph_only():
+    g = load("two_balloons")
+    cond = condensation(g)
+    assert condensation(g) is cond
+    assert strong_components(g) is cond[0]
+    sub = g.subgraph(["q", "w"])
+    assert sub._cond is None and condensation(sub) is not cond
+    loaded = pickle.loads(pickle.dumps(g))
+    assert loaded == g and loaded._cond is None
+    assert condensation(loaded) == cond
 
 
 def test_weak_components_with_thousands_of_components():
@@ -155,6 +192,11 @@ def test_subgraph_unknown_vertex():
     g = load("loop")
     with pytest.raises(UnknownVertex):
         g.subgraph(["nope"])
+
+
+def test_subgraph_on_no_vertices():
+    with pytest.raises(EmptyGraph):
+        load("loop").subgraph([])
 
 
 def test_paths_and_keys():
@@ -262,6 +304,11 @@ def test_enumerate_cycles_cap():
         enumerate_cycles(g, 10)
 
 
+def test_enumerate_cycles_needs_a_positive_cap():
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_cycles(load("loop"), 0)
+
+
 def test_exitless_cycles_agree_with_filtered_enumeration(rng):
     for _ in range(100):
         g = random_graph(rng, max_vertices=6)
@@ -272,6 +319,22 @@ def test_exitless_cycles_agree_with_filtered_enumeration(rng):
             if all(len(g.out_edges(v)) == 1 for v in c.vertices)
         }
         assert {c.edges for c in exitless_cycles(g)} == want
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(multigraphs() | block_graphs())
+def test_exitless_cycles_match_the_out_degree_walk(g):
+    # the same cycles, in the same order and rotation
+    assert exitless_cycles(g) == exitless_cycles_walk(g)
+
+
+def test_exitless_cycles_list_each_cycle_from_its_least_vertex():
+    g = build(["s", "b", "a", "c", "d"],
+              [("x", "a", "b"), ("y", "b", "a"), ("z", "c", "d"), ("w", "d", "c"),
+               ("l", "s", "s"), ("m", "s", "b")])
+    cycles = exitless_cycles(g)
+    assert [(c.edges, c.vertices) for c in cycles] == [
+        (("y", "x"), ("b", "a")), (("z", "w"), ("c", "d"))]
 
 
 def _cycles_or_cap(search, g, cap):

@@ -8,11 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    acyclic_multigraphs,
     bracket_pass_oracle,
     containment_oracle,
+    dimension_oracle,
     first_nonzero_bracket_oracle,
     ideal_space_oracle,
+    load,
+    longest_path,
     multigraphs,
+    path_counts,
     random_element,
     random_graph,
     rows_as_elements,
@@ -252,6 +257,28 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
             assert calls["_generator_bracket"] == gens * (gens - 1) // 2, (name, n)
             assert calls["classify"] == 1, (name, n)
             assert calls["reduced_rows"] == 0, (name, n)
+
+
+def test_evidence_bundle_runs_tarjan_once(monkeypatch):
+    # classify and dimension read the one condensation cached on the graph
+    calls = Counter()
+    _count_calls(monkeypatch, calls, sys.modules["lpakit.graph"], "_tarjan")
+    for name in ("toeplitz", "balloon_core2", "fork2", "fiber_plus_toeplitz", "convergent"):
+        calls.clear()
+        lie_simplicity_evidence(load(name), 2)
+        assert calls["_tarjan"] == 1, name
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(acyclic_multigraphs())
+def test_acyclic_bracket_space_is_a_sum_of_orthogonal_algebras(g):
+    # L(g) is the sum over the sinks v of the N(v) x N(v) matrices, with the
+    # transpose as involution, so [K, K] is the sum of so(N(v)) over the sinks
+    # with N(v) >= 3; truncation 2 x (longest path) reaches every monomial
+    assume(dimension_oracle(g) <= 64)
+    count = path_counts(g)
+    want = sum(n * (n - 1) // 2 for v, n in count.items() if g.is_sink(v) and n >= 3)
+    assert lie_simplicity_evidence(g, 2 * longest_path(g)).bracket_space_dimension == want
 
 
 def test_first_nonzero_bracket_stops_early(toeplitz, monkeypatch):
