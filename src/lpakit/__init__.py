@@ -8,7 +8,6 @@ Laurent matrix models.
 """
 
 from .graph import (
-    Cycle,
     Edge,
     Graph,
     GraphError,
@@ -61,7 +60,6 @@ __all__ = [
     "Graph",
     "Edge",
     "Path",
-    "Cycle",
     "GraphError",
     "MalformedLine",
     "parse_graph",

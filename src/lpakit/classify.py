@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Collection, Container, Iterable
 
-from .graph import Cycle, Edge, Graph, condensation, exitless_cycles, weak_components
+from .graph import Edge, Graph, condensation, exitless_cycles, weak_components
 
 HS_ENUM_LIMIT = 12
 # Upstream-most essential components per reachability pass of is_simple: the
@@ -169,7 +169,7 @@ def enumerate_hs_subsets(g: Graph) -> list[tuple[str, ...]]:
 class SimplicityResult:
     simple: bool
     proper_hs_subset: tuple[str, ...] | None = None
-    exitless_cycle: Cycle | None = None
+    exitless_cycle: tuple[str, ...] | None = None
 
 
 def _unreaching_vertex(g: Graph, dropped: Collection[str] = ()) -> str | None:
@@ -212,30 +212,19 @@ def _unreaching_vertex(g: Graph, dropped: Collection[str] = ()) -> str | None:
     return next((v for v, c in zip(g.vertices, comp) if misses[c] and v not in dropped), None)
 
 
-def _simplicity(g: Graph, dropped: Collection[str] = (),
-                known: tuple[str | None, SimplicityResult] | None = None,
-                ) -> tuple[str | None, SimplicityResult]:
-    """is_simple of the subgraph on the vertices outside dropped, read off
-    g's condensation, with the first vertex that misses an essential
-    component (None when there is none).  dropped is as for
-    _unreaching_vertex.
-
-    The certificates are those of the subgraph.  Its members have the same
-    out-edges in g, so their closures and exitless cycles in g are theirs in
-    the subgraph, provided no dropped vertex can be saturated into a closure
-    or lie on an exitless cycle.  known is the pair for g itself, returned
-    when the subgraph's first such vertex is g's (or both have none), since
-    the certificate is then the same.
-    """
-    v = _unreaching_vertex(g, dropped)
-    if known is not None and known[0] == v:
-        return known
+def _certificate(g: Graph, v: str | None) -> SimplicityResult:
+    """is_simple's certificate, given the first vertex v that misses an
+    essential component (None when there is none): hs_closure of v, or else
+    the first cycle without an exit, or else simple.  With v taken from
+    _unreaching_vertex(g, dropped) it is the subgraph's certificate, as long
+    as no dropped vertex can be saturated into a closure or lie on a cycle
+    without an exit."""
     if v is not None:
-        return v, SimplicityResult(False, proper_hs_subset=tuple(hs_closure(g, [v])))
+        return SimplicityResult(False, proper_hs_subset=tuple(hs_closure(g, [v])))
     bad = exitless_cycles(g)
     if bad:
-        return None, SimplicityResult(False, exitless_cycle=bad[0])
-    return None, SimplicityResult(True)
+        return SimplicityResult(False, exitless_cycle=bad[0])
+    return SimplicityResult(True)
 
 
 def is_simple(g: Graph) -> SimplicityResult:
@@ -250,7 +239,7 @@ def is_simple(g: Graph) -> SimplicityResult:
     misses one, or else the first cycle without an exit.  Linear apart from
     the bitsets of _unreaching_vertex.
     """
-    return _simplicity(g)[1]
+    return _certificate(g, _unreaching_vertex(g))
 
 
 # -- fibers, forks, balloons --------------------------------------------------
@@ -374,8 +363,8 @@ def classify(g: Graph) -> Classification:
             "graph is disconnected; the decomposition is applied to the whole "
             "graph, component by component effects are not modelled"
         )
-    known = _simplicity(g)
-    simplicity = known[1]
+    first = _unreaching_vertex(g)
+    simplicity = _certificate(g, first)
 
     units = fiber_units(g)
     units_t = tuple(units)
@@ -431,13 +420,15 @@ def classify(g: Graph) -> Classification:
     # vertex has an edge to one: a balloon receives only its loop, a unit
     # touches no other edge.  No closure of core vertices saturates one in:
     # a balloon's loop and a unit source's edge leave the closure, and a
-    # unit target is a sink.  And a balloon's loop has an exit.
-    core_result = _simplicity(g, drop | balloon_set, known)[1]
+    # unit target is a sink.  And a balloon's loop has an exit.  So the
+    # core's certificate is g's whenever its first unreaching vertex is g's.
+    v = _unreaching_vertex(g, drop | balloon_set)
+    core_result = simplicity if v == first else _certificate(g, v)
     if not core_result.simple:
         what = (
             f"proper hereditary-saturated subset {list(core_result.proper_hs_subset)}"
             if core_result.proper_hs_subset is not None
-            else f"cycle without exit ({core_result.exitless_cycle})"
+            else f"cycle without exit ({' '.join(core_result.exitless_cycle)})"
         )
         return verdict(core, balloons, False, FailureReason("core_not_simple", what))
 

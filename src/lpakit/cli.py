@@ -129,7 +129,7 @@ def _classification_report(path: str | None, g: Graph, args) -> dict:
         cls = classify(g)
         evidence = None
     else:
-        bundle = lie_simplicity_evidence(g, args.truncate)
+        bundle = lie_simplicity_evidence(g, DEFAULT_TRUNCATE if args.truncate is None else args.truncate)
         cls = bundle.classification
         containment = bundle.ideal_containment
         evidence = {
@@ -165,7 +165,7 @@ def _classification_report(path: str | None, g: Graph, args) -> dict:
         "simple": {
             "holds": simp.simple,
             "proper_hs_subset": list(simp.proper_hs_subset) if simp.proper_hs_subset else None,
-            "exitless_cycle": list(simp.exitless_cycle.edges) if simp.exitless_cycle else None,
+            "exitless_cycle": list(simp.exitless_cycle) if simp.exitless_cycle else None,
         },
         "almost_simple": cls.almost_simple,
         "predicted_kk_simple": cls.almost_simple,
@@ -263,7 +263,7 @@ def cmd_classify(args) -> int:
 def cmd_inspect(args) -> int:
     g = _read_graph(args.file)
     try:
-        cycles = [list(c.edges) for c in enumerate_cycles(g, args.max_cycles)]
+        cycles = [list(c) for c in enumerate_cycles(g, args.max_cycles)]
         truncated = False
     except TooManyCycles:
         cycles = []
@@ -282,7 +282,7 @@ def cmd_inspect(args) -> int:
         "sinks": sinks(g),
         "fibers": [e.name for e in find_fibers(g)],
         "is_fork": is_fork(g),
-        "exitless_cycles": [list(c.edges) for c in exitless_cycles(g)],
+        "exitless_cycles": [list(c) for c in exitless_cycles(g)],
         "cycles": cycles,
         "cycles_truncated": truncated,
         "hs_subsets": subsets,
@@ -337,6 +337,11 @@ def cmd_algebra(args) -> int:
         print("nothing to do: pick dim, skew-dim, bracket-dim, m2-check or cycle-check",
               file=sys.stderr)
         return 2
+    if args.truncate is not None and what not in ("skew-dim", "bracket-dim"):
+        print(f"--truncate belongs to skew-dim and bracket-dim and cannot go with {given}",
+              file=sys.stderr)
+        return 2
+    n = DEFAULT_TRUNCATE if args.truncate is None else args.truncate
     report: dict = {"file": args.file, "what": what}
     if what == "dim":
         try:
@@ -346,12 +351,12 @@ def cmd_algebra(args) -> int:
                   file=sys.stderr)
             return 2
     elif what == "skew-dim":
-        report["truncation"] = args.truncate
-        report["skew_dimension"] = len(skew_basis(g, args.truncate))
+        report["truncation"] = n
+        report["skew_dimension"] = len(skew_basis(g, n))
     elif what == "bracket-dim":
-        report["truncation"] = args.truncate
+        report["truncation"] = n
         # the rank of the pass's RowSpace, without reducing its rows
-        report["bracket_space_dimension"] = _bracket_pass(g, args.truncate)[0].rank
+        report["bracket_space_dimension"] = _bracket_pass(g, n)[0].rank
     elif what == "m2-check":
         if args.fiber is None:
             print("m2-check needs --fiber EDGE", file=sys.stderr)
@@ -417,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("file", nargs="?", help="graph file")
     source.add_argument("--corpus", help="classify every *.graph file in a directory")
     c.add_argument("--json", action="store_true")
-    c.add_argument("--truncate", type=_int_at_least(0), default=DEFAULT_TRUNCATE,
+    c.add_argument("--truncate", type=_int_at_least(0),
                    help=f"degree bound for evidence (default {DEFAULT_TRUNCATE})")
     c.add_argument("--witness", action="store_true",
                    help="include a nonzero bracket witness in the evidence")
@@ -436,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("what", nargs="?",
                    choices=["dim", "skew-dim", "bracket-dim", "m2-check", "cycle-check"])
     a.add_argument("--json", action="store_true")
-    a.add_argument("--truncate", type=_int_at_least(0), default=DEFAULT_TRUNCATE)
+    a.add_argument("--truncate", type=_int_at_least(0))
     a.add_argument("--fiber", help="edge name for the 2x2 model check")
     a.add_argument("--cycle-check", type=int, metavar="D",
                    help="verify the d x d Laurent matrix model of the standard cycle")
@@ -448,6 +453,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "classify" and not args.file and not args.corpus:
         print("classify needs a graph file or --corpus DIR", file=sys.stderr)
+        return 2
+    if args.command == "classify" and args.no_evidence and (args.witness or args.truncate is not None):
+        flag = "--witness" if args.witness else "--truncate"
+        print(f"{flag} belongs to the evidence and cannot go with --no-evidence", file=sys.stderr)
         return 2
     try:
         code = args.fn(args)

@@ -81,24 +81,6 @@ class Path(NamedTuple):
         return " ".join(self.edges) if self.edges else self.source
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A closed path with pairwise distinct source vertices.
-
-    vertices[i] is the source of edges[i]; canonical form starts at the
-    vertex that was declared earliest.
-    """
-
-    edges: tuple[str, ...]
-    vertices: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __str__(self) -> str:
-        return " ".join(self.edges)
-
-
 def path_key(p: Path) -> tuple:
     """Sort key: length first, then edge names (vertex name for length 0)."""
     return (len(p.edges), p.edges if p.edges else (p.source,))
@@ -346,12 +328,6 @@ def condensation(g: Graph) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]
     return g._cond
 
 
-def strong_components(g: Graph) -> tuple[int, ...]:
-    """The strongly connected component of each vertex, by declaration
-    index, numbered as in condensation."""
-    return condensation(g)[0]
-
-
 def _tarjan(succ: list[list[int]], lo: int = 0) -> list[int]:
     """Tarjan's algorithm on the vertices lo..len(succ)-1 and the edges
     between them; vertices below lo get component -1.
@@ -403,8 +379,9 @@ def _tarjan(succ: list[list[int]], lo: int = 0) -> list[int]:
 # -- cycles -----------------------------------------------------------------
 
 
-def exitless_cycles(g: Graph) -> list[Cycle]:
-    """Cycles none of whose vertices has an edge leaving the cycle.
+def exitless_cycles(g: Graph) -> list[tuple[str, ...]]:
+    """Cycles none of whose vertices has an edge leaving the cycle, as
+    edge-name tuples.
 
     Such a cycle is a whole strong component: one that carries a cycle and
     whose vertices each emit exactly one edge, which then stays inside it.
@@ -416,20 +393,21 @@ def exitless_cycles(g: Graph) -> list[Cycle]:
     for v, c in zip(g.vertices, comp):
         if len(g._out[v]) != 1:
             exitless[c] = False
-    out: list[Cycle] = []
+    out: list[tuple[str, ...]] = []
     for start, c in zip(g.vertices, comp):
         if exitless[c]:
             exitless[c] = False
             walk = [g._out[start][0]]
             while walk[-1].target != start:
                 walk.append(g._out[walk[-1].target][0])
-            out.append(Cycle(tuple(e.name for e in walk), tuple(e.source for e in walk)))
+            out.append(tuple(e.name for e in walk))
     return out
 
 
-def enumerate_cycles(g: Graph, max_count: int) -> list[Cycle]:
+def enumerate_cycles(g: Graph, max_count: int) -> list[tuple[str, ...]]:
     """All simple cycles (distinct source vertices; parallel edges give
-    distinct cycles), each rotated to start at its least-declared vertex.
+    distinct cycles) as edge-name tuples, each rotated to start at its
+    least-declared vertex.
 
     Cycles are grouped by that start vertex, in declaration order; within a
     group they come in depth-first order, out-edges taken in declaration
@@ -437,12 +415,11 @@ def enumerate_cycles(g: Graph, max_count: int) -> list[Cycle]:
 
     Johnson's algorithm (SIAM J. Comput. 4(1), 1975), run inside each
     strongly connected component, takes O((V + E)(C + 1)) time for C
-    cycles, so the cap stops it within O((V + E) max_count).  Cycle objects
-    are built only after the search has ended under the cap.
+    cycles, so the cap stops it within O((V + E) max_count).
     """
     if max_count < 1:
         raise ValueError("max_count must be at least 1")
-    comp = strong_components(g)
+    comp = condensation(g)[0]
     size = Counter(comp)
     members: dict[int, list[str]] = {}
     groups: list[tuple[int, list[tuple[str, ...]]]] = []
@@ -462,8 +439,7 @@ def enumerate_cycles(g: Graph, max_count: int) -> list[Cycle]:
             left -= len(found)
             groups.append((g.vertex_index[start], found))
     groups.sort(key=lambda grp: grp[0])
-    return [Cycle(edges, tuple(g.edge_map[x].source for x in edges))
-            for _, found in groups for edges in found]
+    return [edges for _, found in groups for edges in found]
 
 
 def _local_arcs(g: Graph, vs: list[str]) -> tuple[list[list[int]], list[list[str]]]:

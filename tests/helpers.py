@@ -40,7 +40,7 @@ from lpakit.classify import (
     is_hereditary,
     is_simple,
 )
-from lpakit.graph import Cycle, Graph, TooManyCycles, exitless_cycles, parse_graph, weak_components
+from lpakit.graph import Graph, TooManyCycles, exitless_cycles, parse_graph, weak_components
 from lpakit.graph import Path as GraphPath
 from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
 
@@ -223,12 +223,12 @@ def cycles_oracle(g: Graph) -> set[tuple]:
     return found
 
 
-def enumerate_cycles_dfs(g: Graph, max_count: int) -> list[Cycle]:
+def enumerate_cycles_dfs(g: Graph, max_count: int) -> list[tuple[str, ...]]:
     """enumerate_cycles by one recursive depth-first search per start
     vertex, through later-declared vertices only: the same cycles in the
     same order, and TooManyCycles exactly when there are more than
     max_count.  Recursion depth grows with the cycle length."""
-    out: list[Cycle] = []
+    out: list[tuple[str, ...]] = []
     idx = g.vertex_index
 
     def dfs(start: str, v: str, edge_trail: list[str], visited: set[str]) -> None:
@@ -236,9 +236,7 @@ def enumerate_cycles_dfs(g: Graph, max_count: int) -> list[Cycle]:
             if e.target == start:
                 if len(out) >= max_count:
                     raise TooManyCycles(f"more than {max_count} cycles")
-                cyc_edges = edge_trail + [e.name]
-                verts = tuple(g.edge_map[x].source for x in cyc_edges)
-                out.append(Cycle(tuple(cyc_edges), verts))
+                out.append(tuple(edge_trail + [e.name]))
             elif e.target not in visited and idx[e.target] > idx[start]:
                 visited.add(e.target)
                 dfs(start, e.target, edge_trail + [e.name], visited)
@@ -251,7 +249,7 @@ def enumerate_cycles_dfs(g: Graph, max_count: int) -> list[Cycle]:
 
 def canon_cycles(cycles) -> set[tuple]:
     """Package cycles mapped to the oracle's min-rotation form."""
-    return {_min_rotation(c.edges) for c in cycles}
+    return {_min_rotation(c) for c in cycles}
 
 
 def exitless_cycle_exists_oracle(g: Graph) -> bool:
@@ -261,14 +259,14 @@ def exitless_cycle_exists_oracle(g: Graph) -> bool:
     return False
 
 
-def exitless_cycles_walk(g: Graph) -> list[Cycle]:
+def exitless_cycles_walk(g: Graph) -> list[tuple[str, ...]]:
     """exitless_cycles by following unique out-edges inside the
     out-degree-1 subgraph: every vertex on a cycle without an exit has
     out-degree exactly 1.  Each cycle closed by a walk is rotated to start
     at its least-declared vertex, and the cycles are sorted by that vertex."""
     next_edge = {v: g.out_edges(v)[0] for v in g.vertices if len(g.out_edges(v)) == 1}
     done: set[str] = set()
-    out: list[Cycle] = []
+    out: list[tuple[str, ...]] = []
     for start in g.vertices:
         if start not in next_edge or start in done:
             continue
@@ -283,9 +281,9 @@ def exitless_cycles_walk(g: Graph) -> list[Cycle]:
             verts = trail[pos[v]:]
             k = min(range(len(verts)), key=lambda i: g.vertex_index[verts[i]])
             verts = verts[k:] + verts[:k]
-            out.append(Cycle(tuple(next_edge[u].name for u in verts), tuple(verts)))
+            out.append(tuple(next_edge[u].name for u in verts))
         done.update(trail)
-    out.sort(key=lambda c: g.vertex_index[c.vertices[0]])
+    out.sort(key=lambda c: g.vertex_index[g.edge_map[c[0]].source])
     return out
 
 
@@ -366,7 +364,7 @@ def classify_by_subgraph(g: Graph) -> Classification:
                 "core_not_simple",
                 f"proper hereditary-saturated subset {list(core.proper_hs_subset)}")
         else:
-            reason = FailureReason("core_not_simple", f"cycle without exit ({core.exitless_cycle})")
+            reason = FailureReason("core_not_simple", f"cycle without exit ({' '.join(core.exitless_cycle)})")
     return replace(cls, almost_simple=reason is None, failure_reason=reason, simplicity=is_simple(g))
 
 

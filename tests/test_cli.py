@@ -71,6 +71,14 @@ def test_classify_no_evidence(capsys):
     assert json.loads(out)["evidence"] is None
 
 
+@pytest.mark.parametrize("flag", [["--witness"], ["--truncate", "9"]])
+def test_classify_no_evidence_refuses_an_evidence_flag(capsys, flag):
+    code, out, err = run_cli("classify", str(CORPUS / "fork2.graph"), "--no-evidence", *flag,
+                             capsys=capsys)
+    assert code == 2 and out == ""
+    assert flag[0] in err and "--no-evidence" in err, err
+
+
 def test_classify_truncate_flag(capsys):
     _, out, _ = run_cli("classify", GRAPH, "--json", "--truncate", "3", capsys=capsys)
     ev = json.loads(out)["evidence"]
@@ -288,6 +296,9 @@ def test_algebra_cycle_check_needs_its_dimension(capsys):
     (["skew-dim", "--fiber", "e"], ["--fiber", "skew-dim"]),
     (["cycle-check", "--fiber", "e", "--cycle-check", "3"], ["--fiber", "cycle-check"]),
     (["--fiber", "e", "--cycle-check", "3"], ["--cycle-check", "--fiber"]),
+    (["dim", "--truncate", "3"], ["--truncate", "dim"]),
+    (["m2-check", "--fiber", "e", "--truncate", "3"], ["--truncate", "m2-check"]),
+    (["cycle-check", "--cycle-check", "2", "--truncate", "3"], ["--truncate", "cycle-check"]),
 ])
 def test_algebra_rejects_a_flag_of_another_question(capsys, args, names):
     code, out, err = run_cli("algebra", str(CORPUS / "fiber.graph"), *args, capsys=capsys)
@@ -304,6 +315,13 @@ def test_algebra_cycle_check_may_name_its_question(capsys):
 def test_algebra_needs_a_question(capsys):
     code, _, err = run_cli("algebra", GRAPH, capsys=capsys)
     assert code == 2 and "nothing to do" in err
+    assert run_cli("algebra", GRAPH, "--truncate", "3", capsys=capsys) == (2, "", err)
+
+
+def test_algebra_truncates_at_four_by_default(capsys):
+    code, out, _ = run_cli("algebra", GRAPH, "skew-dim", capsys=capsys)
+    assert code == 0
+    assert run_cli("algebra", GRAPH, "skew-dim", "--truncate", "4", capsys=capsys) == (0, out, "")
 
 
 def test_module_entry_point_runs():

@@ -1,9 +1,12 @@
-"""The README's examples, run as written from the repository root."""
+"""The README's examples, run as written from the repository root, and
+the public names they import from."""
 
 import re
 import shlex
 
 from helpers import CORPUS
+
+import lpakit
 
 from lpakit.cli import main
 
@@ -27,3 +30,9 @@ def test_readme_library_snippet_prints_its_bracket(capsys):
     shown = re.search(r"^print\(.*\)\s+# (.*)$", snippet, re.M).group(1)
     exec(snippet, {})
     assert capsys.readouterr().out == shown + "\n"
+
+
+def test_every_public_name_resolves():
+    names: dict = {}
+    exec("from lpakit import *", names)
+    assert all(names[name] is getattr(lpakit, name) for name in lpakit.__all__)
