@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as encode_str
 from pathlib import Path as FsPath
 
@@ -52,12 +53,25 @@ from .skew import (  # noqa: F401
 DEFAULT_TRUNCATE = 4
 
 
-def _read_graph(path: str) -> Graph:
+def _read_text(path: str) -> str:
     try:
-        text = FsPath(path).read_text(encoding="utf-8")
+        return FsPath(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}") from exc
-    return parse_graph(text)
+
+
+def _read_graph(path: str) -> Graph:
+    return parse_graph(_read_text(path))
+
+
+def _read_corpus_graph(path: FsPath) -> Graph:
+    """_read_graph for one file of a corpus: an error in the file's text
+    is prefixed with the file's name (a read error names its path)."""
+    text = _read_text(str(path))
+    try:
+        return parse_graph(text)
+    except GraphError as exc:
+        raise GraphError(f"{path.name}: {exc}") from exc
 
 
 def _write_json(x, write, indent: str = "\n") -> None:
@@ -66,8 +80,9 @@ def _write_json(x, write, indent: str = "\n") -> None:
     and raises TypeError on anything else.
 
     json's indented encoder runs in pure Python; here every string goes
-    through json's C encoder, and a list of strings is encoded and joined in
-    one C call.  indent is the newline and the indentation of x's own line.
+    through json's C encoder, a list of strings is encoded and joined in one
+    C call, and a list of non-empty lists of strings in one C join per inner
+    list.  indent is the newline and the indentation of x's own line.
     """
     if isinstance(x, str):
         write(encode_str(x))
@@ -85,7 +100,12 @@ def _write_json(x, write, indent: str = "\n") -> None:
             return
         inner = indent + "  "
         try:
-            body = ("," + inner).join(map(encode_str, x))
+            if set(map(type, x)) == {list} and all(x):
+                deeper = inner + "  "
+                rows = map(("," + deeper).join, map(map, repeat(encode_str), x))
+                body = "[" + deeper + (inner + "]," + inner + "[" + deeper).join(rows) + inner + "]"
+            else:
+                body = ("," + inner).join(map(encode_str, x))
         except TypeError:  # an item that is not a str
             body = None
         if body is not None:
@@ -159,8 +179,8 @@ def _classification_report(path: str | None, g: Graph, args) -> dict:
         "file": path,
         "graph": {
             "vertices": list(g.vertices),
-            "edges": [[e.name, e.source, e.target] for e in g.edges],
-            "components": [list(c) for c in cls.components],
+            "edges": list(map(list, g.edges)),
+            "components": list(map(list, cls.components)),
         },
         "simple": {
             "holds": simp.simple,
@@ -248,7 +268,7 @@ def cmd_classify(args) -> int:
         if not files:
             print(f"no .graph files under {base}", file=sys.stderr)
             return 2
-        reports = [_classification_report(f.name, _read_graph(str(f)), args) for f in files]
+        reports = [_classification_report(f.name, _read_corpus_graph(f), args) for f in files]
         _emit(reports, args.json, _render_corpus)
         return 0
     g = _read_graph(args.file)
@@ -276,8 +296,8 @@ def cmd_inspect(args) -> int:
     report = {
         "file": args.file,
         "vertices": list(g.vertices),
-        "edges": [[e.name, e.source, e.target] for e in g.edges],
-        "components": [list(c) for c in weak_components(g)],
+        "edges": list(map(list, g.edges)),
+        "components": weak_components(g),
         "sources": sources(g),
         "sinks": sinks(g),
         "fibers": [e.name for e in find_fibers(g)],

@@ -10,18 +10,22 @@ The text format is line based:
     edge NAME SOURCE RANGE
 
 Names match [A-Za-z0-9_]+, tokens are separated by single spaces, blank
-lines and lines starting with '#' are ignored.  parse_graph/serialize_graph
-round-trip exactly.
+lines and lines starting with '#' are ignored.  Lines break at '\n' only;
+surrounding whitespace, '\r' included, is stripped.
+parse_graph/serialize_graph round-trip exactly.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAME = "[A-Za-z0-9_]+"
+NAME_RE = re.compile(_NAME + r"\Z")
+# one stripped line: a vertex (group 1), an edge (groups 2-4), or a comment
+# or blank line (no group)
+_LINE_RE = re.compile(rf"(?:vertex ({_NAME})|edge ({_NAME}) ({_NAME}) ({_NAME})|#.*|)\Z")
 
 
 class GraphError(Exception):
@@ -52,8 +56,11 @@ class TooManyCycles(GraphError):
     """Cycle enumeration exceeded the caller's cap."""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A named edge from source to target.  A tuple, so edges hash and
+    compare in C, and the edges of a graph unzip into their name, source
+    and target columns."""
+
     name: str
     source: str
     target: str
@@ -97,6 +104,24 @@ class Graph:
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]):
         vs = tuple(vertices)
+        es = tuple(Edge(name, src, dst) for name, src, dst in edges)
+        names_ok = all(map(NAME_RE.match, vs)) and all(NAME_RE.match(e.name) for e in es)
+        self._check(vs, es, names_ok)
+
+    def _check(self, vs: tuple[str, ...], es: tuple[Edge, ...], names_ok: bool) -> None:
+        """Validate vertices and edges and index them; names_ok says that
+        every name is known to match NAME_RE.
+
+        Set sizes and superset tests decide whether all is well.  Only when
+        it is not does the loop below run, to name the first offender in
+        declaration order.
+        """
+        known = frozenset(vs)
+        names, srcs, dsts = zip(*es) if es else ((), (), ())
+        if (names_ok and vs and len(known.union(names)) == len(vs) + len(es)
+                and known.issuperset(srcs) and known.issuperset(dsts)):
+            self._index(vs, es, names)
+            return
         if not vs:
             raise EmptyGraph("a graph needs at least one vertex")
         seen: set[str] = set()
@@ -106,10 +131,7 @@ class Graph:
             if v in seen:
                 raise DuplicateName(f"vertex {v!r} declared twice")
             seen.add(v)
-        known = set(seen)
-
-        es = []
-        for name, src, dst in edges:
+        for name, src, dst in es:
             if not NAME_RE.match(name):
                 raise MalformedLine(0, name, "bad edge name")
             if name in seen:
@@ -119,16 +141,16 @@ class Graph:
                 raise UnknownVertex(f"edge {name!r}: unknown source {src!r}")
             if dst not in known:
                 raise UnknownVertex(f"edge {name!r}: unknown range {dst!r}")
-            es.append(Edge(name, src, dst))
-        self._index(vs, tuple(es))
+        raise AssertionError("no offender found in a graph that failed validation")
 
-    def _index(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> None:
+    def _index(self, vertices: tuple[str, ...], edges: tuple[Edge, ...],
+               names: Iterable[str]) -> None:
         """Build the lookup tables from vertices and edges already known to
-        be valid."""
+        be valid; names are the edge names, in order."""
         self.vertices: tuple[str, ...] = vertices
-        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(vertices)}
+        self.vertex_index: dict[str, int] = dict(zip(vertices, range(len(vertices))))
         self.edges: tuple[Edge, ...] = edges
-        self.edge_map: dict[str, Edge] = {e.name: e for e in edges}
+        self.edge_map: dict[str, Edge] = dict(zip(names, edges))
 
         out: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         inc: dict[str, list[Edge]] = {v: [] for v in self.vertices}
@@ -219,10 +241,8 @@ class Graph:
         if not keep_set:
             raise EmptyGraph("a graph needs at least one vertex")
         sub = Graph.__new__(Graph)
-        sub._index(
-            tuple(v for v in self.vertices if v in keep_set),
-            tuple(e for e in self.edges if e.source in keep_set and e.target in keep_set),
-        )
+        es = tuple(e for e in self.edges if e.source in keep_set and e.target in keep_set)
+        sub._index(tuple(v for v in self.vertices if v in keep_set), es, (e.name for e in es))
         return sub
 
 
@@ -231,26 +251,44 @@ class Graph:
 
 def parse_graph(text: str) -> Graph:
     """Parse the line-based graph format.  Raises MalformedLine with the
-    offending 1-based line number, plus the Graph constructor's errors."""
+    offending 1-based line number, plus the Graph constructor's errors.
+
+    Each stripped line is checked by one regex, which also reads its names,
+    so no name is checked twice.  Only when a line fails does the
+    line-by-line check run, to say which line and why.
+    """
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for m in map(_LINE_RE.match, map(str.strip, text.split("\n"))):
+        if m is None:
+            raise _malformed(text)
+        i = m.lastindex
+        if i == 1:
+            vertices.append(m[1])
+        elif i:
+            edges.append(m.group(2, 3, 4))
+    if not vertices:
+        raise EmptyGraph("no vertices declared")
+    g = Graph.__new__(Graph)
+    g._check(tuple(vertices), tuple(map(Edge._make, edges)), True)
+    return g
+
+
+def _malformed(text: str) -> MalformedLine:
+    """The error for the first line of text that is neither blank, nor a
+    comment, nor a well-formed declaration: the lines _LINE_RE rejects."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split(" ")
-        if parts[0] == "vertex" and len(parts) == 2:
-            vertices.append(parts[1])
-        elif parts[0] == "edge" and len(parts) == 4:
-            edges.append((parts[1], parts[2], parts[3]))
-        else:
-            raise MalformedLine(lineno, raw, "expected 'vertex NAME' or 'edge NAME SOURCE RANGE'")
+        if not ((parts[0] == "vertex" and len(parts) == 2)
+                or (parts[0] == "edge" and len(parts) == 4)):
+            return MalformedLine(lineno, raw, "expected 'vertex NAME' or 'edge NAME SOURCE RANGE'")
         for tok in parts[1:]:
             if not NAME_RE.match(tok):
-                raise MalformedLine(lineno, raw, f"bad name {tok!r}")
-    if not vertices:
-        raise EmptyGraph("no vertices declared")
-    return Graph(vertices, edges)
+                return MalformedLine(lineno, raw, f"bad name {tok!r}")
+    raise AssertionError("no malformed line in a text that failed to parse")
 
 
 def serialize_graph(g: Graph) -> str:

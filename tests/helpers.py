@@ -40,7 +40,18 @@ from lpakit.classify import (
     is_hereditary,
     is_simple,
 )
-from lpakit.graph import Graph, TooManyCycles, exitless_cycles, parse_graph, weak_components
+from lpakit.graph import (
+    NAME_RE,
+    DuplicateName,
+    EmptyGraph,
+    Graph,
+    MalformedLine,
+    TooManyCycles,
+    UnknownVertex,
+    exitless_cycles,
+    parse_graph,
+    weak_components,
+)
 from lpakit.graph import Path as GraphPath
 from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
 
@@ -57,6 +68,49 @@ def load(name: str) -> Graph:
 
 def build(vertices, edges=()) -> Graph:
     return Graph(list(vertices), [tuple(e) for e in edges])
+
+
+def parse_graph_two_pass(text: str) -> Graph:
+    """The parser that parse_graph replaced, lines broken at '\\n': each
+    token matched against NAME_RE on its line, then every name checked
+    again, one at a time, as the constructor once did."""
+    vertices: list[str] = []
+    edges: list[tuple[str, str, str]] = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(" ")
+        if parts[0] == "vertex" and len(parts) == 2:
+            vertices.append(parts[1])
+        elif parts[0] == "edge" and len(parts) == 4:
+            edges.append((parts[1], parts[2], parts[3]))
+        else:
+            raise MalformedLine(lineno, raw, "expected 'vertex NAME' or 'edge NAME SOURCE RANGE'")
+        for tok in parts[1:]:
+            if not NAME_RE.match(tok):
+                raise MalformedLine(lineno, raw, f"bad name {tok!r}")
+    if not vertices:
+        raise EmptyGraph("no vertices declared")
+    seen: set[str] = set()
+    for v in vertices:
+        if not NAME_RE.match(v):
+            raise MalformedLine(0, v, "bad vertex name")
+        if v in seen:
+            raise DuplicateName(f"vertex {v!r} declared twice")
+        seen.add(v)
+    known = set(seen)
+    for name, src, dst in edges:
+        if not NAME_RE.match(name):
+            raise MalformedLine(0, name, "bad edge name")
+        if name in seen:
+            raise DuplicateName(f"name {name!r} declared twice")
+        seen.add(name)
+        if src not in known:
+            raise UnknownVertex(f"edge {name!r}: unknown source {src!r}")
+        if dst not in known:
+            raise UnknownVertex(f"edge {name!r}: unknown range {dst!r}")
+    return Graph(vertices, edges)
 
 
 class ElementSpan:
@@ -726,3 +780,47 @@ def decomposed_graphs(draw) -> Graph:
     if draw(st.booleans()):
         es.append(("z", draw(st.sampled_from(vs)), draw(st.sampled_from(vs))))
     return Graph(draw(st.permutations(vs)), draw(st.permutations(es)))
+
+
+@st.composite
+def graph_texts(draw) -> str:
+    """Graph file texts: declarations of a few names, comments and blank
+    lines, with whitespace that strip() removes ('\\r' of '\\r\\n' endings,
+    tabs, non-breaking spaces, '\\x0b', '\\x0c') around some lines.  Up to
+    two lines are then spoiled: a double space, tab or non-breaking space
+    between tokens, a non-ASCII letter or digit, an empty or a hyphenated
+    name, a missing or extra token, a misspelt keyword, or a character that
+    str.splitlines breaks at in place of a newline.  Duplicate names,
+    unknown endpoints and texts without vertices come up by chance."""
+    names = st.sampled_from(["a", "b", "c", "v_1"])
+    edge_names = st.sampled_from(["e", "f", "g", "h", "a"])
+    lines: list[list[str]] = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["vertex"] * 3 + ["edge"] * 3 + ["#", ""]))
+        if kind == "vertex":
+            lines.append([kind, draw(names)])
+        elif kind == "edge":
+            lines.append([kind, draw(edge_names), draw(names), draw(names)])
+        else:
+            lines.append([kind])
+    seps = [" "] * len(lines)
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    for _ in range(draw(st.integers(0, 2)) if lines else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        spoil = draw(st.sampled_from(["sep", "name", "drop", "add", "keyword", "break"]))
+        if spoil == "sep":
+            seps[i] = draw(st.sampled_from(["  ", "\t", "\xa0"]))
+        elif spoil == "name" and len(lines[i]) > 1:
+            j = draw(st.integers(1, len(lines[i]) - 1))
+            lines[i][j] = draw(st.sampled_from(["\u00e9", "\u0663", "\u01c5", "", "a-b"]))
+        elif spoil == "drop" and len(lines[i]) > 1:
+            lines[i].pop()
+        elif spoil == "add":
+            lines[i].append(draw(names))
+        elif spoil == "keyword":
+            lines[i][0] = draw(st.sampled_from(["edg", "Vertex", "vertex:"]))
+        elif spoil == "break":
+            ends[i] = draw(st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]))
+    pads = st.sampled_from([""] * 8 + [" ", "\t", "\r", "\xa0", "\x0b", "\x0c"])
+    return "".join(draw(pads) + sep.join(tokens) + draw(pads) + end
+                   for tokens, sep, end in zip(lines, seps, ends))

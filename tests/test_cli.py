@@ -162,7 +162,31 @@ def test_malformed_file_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
     bad.write_text("vertex v\nedge oops v\n")
     code, _, err = run_cli("classify", str(bad), capsys=capsys)
-    assert code == 2 and "line 2" in err
+    assert code == 2
+    assert err == "error: line 2: expected 'vertex NAME' or 'edge NAME SOURCE RANGE': 'edge oops v'\n"
+
+
+@pytest.mark.parametrize("text, why", [
+    ("vertex v\n# fine so far\nedge oops v\n",
+     "line 3: expected 'vertex NAME' or 'edge NAME SOURCE RANGE': 'edge oops v'"),
+    ("vertex v\nedge e v c\n", "edge 'e': unknown range 'c'"),
+])
+def test_classify_corpus_names_the_bad_file(tmp_path, capsys, text, why):
+    (tmp_path / "loop.graph").write_text((CORPUS / "loop.graph").read_text())
+    (tmp_path / "m_bad.graph").write_text(text)
+    code, out, err = run_cli("classify", "--corpus", str(tmp_path), capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: m_bad.graph: {why}\n")
+
+
+def test_crlf_and_cr_files_read_as_before(tmp_path, capsys):
+    # files are read with universal newlines, so '\r\n' and '\r' still end lines
+    text = (CORPUS / "toeplitz.graph").read_text()
+    f = tmp_path / "toeplitz.graph"
+    f.write_text(text)
+    want = run_cli("inspect", str(f), "--json", capsys=capsys)
+    for ending in ("\r\n", "\r"):
+        f.write_bytes(text.replace("\n", ending).encode())
+        assert run_cli("inspect", str(f), "--json", capsys=capsys) == want
 
 
 def test_inspect_text(capsys):
@@ -396,13 +420,16 @@ json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-2**100, 2**100) | st.text(),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=5),
     max_leaves=25,
-)
+) | st.lists(st.lists(st.text(max_size=3), max_size=3), max_size=4)
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(json_values)
 @example({"a\"b": ["\x00\n\t\\", "\u00e9\u4e2d\U0001f600"], "": [], "z": {}, "k": [[], {}, None]})
 @example([True, False, None, -(2**80), "s", ["x", "y"], {"b": 1, "a": [2]}])
+@example([["e", "a", "b"], ["f", "b", "\u00e9\n"]])
+@example({"edges": [["a"], [], ["b", "c"]], "mixed": [["a"], "b"], "deep": [["a"], ["b", ["c"]]]})
+@example([["a", 1], ["b", None], ["c", {"k": "v"}], [["a"]]])
 def test_json_writer_matches_json_dumps(x):
     out = io.StringIO()
     _write_json(x, out.write)

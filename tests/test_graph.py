@@ -7,7 +7,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lpakit
 from helpers import (
@@ -18,8 +19,10 @@ from helpers import (
     cycles_oracle,
     enumerate_cycles_dfs,
     exitless_cycles_walk,
+    graph_texts,
     load,
     multigraphs,
+    parse_graph_two_pass,
     random_graph,
     weak_components_rescan,
 )
@@ -27,9 +30,12 @@ from helpers import (
 from lpakit.classify import hereditary_closure
 
 from lpakit.graph import (
+    NAME_RE,
     DuplicateName,
+    Edge,
     EmptyGraph,
     Graph,
+    GraphError,
     MalformedLine,
     TooManyCycles,
     UnknownVertex,
@@ -43,6 +49,7 @@ from lpakit.graph import (
     sources,
     weak_components,
 )
+from lpakit.graph import _LINE_RE
 
 
 # -- parsing -------------------------------------------------------------------
@@ -65,6 +72,46 @@ def test_parse_reports_offending_line_number():
     with pytest.raises(MalformedLine) as info:
         parse_graph("vertex v\nvertex w\nedg e v w\n")
     assert info.value.lineno == 3
+
+
+def test_parse_breaks_lines_at_newlines_only():
+    # str.splitlines would also break at \x0b and \x0c, and count a fourth line
+    with pytest.raises(MalformedLine) as info:
+        parse_graph("vertex a\nedge e a a\x0b\nvertex\n")
+    assert info.value.lineno == 3
+    for text in ("vertex a\x0cvertex b\n", "vertex a\u2028vertex b\n", "vertex a\x85vertex b\n"):
+        with pytest.raises(MalformedLine) as info:
+            parse_graph(text)
+        assert info.value.lineno == 1
+    # surrounding whitespace, a \r of a \r\n ending included, is still stripped
+    g = parse_graph("vertex a\r\n\t edge e a a \x0b\r\n")
+    assert g == build(["a"], [("e", "a", "a")])
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+
+
+@settings(max_examples=1500, derandomize=True, database=None, deadline=None)
+@given(graph_texts())
+@example("vertex a\nvertex b\nedge e a b\nedge f b a\n")
+@example("# only a comment\n\n")
+@example("vertex a\nedge e a b\nedge e a a\nvertex b\n")
+def test_parse_matches_the_two_pass_parser(text):
+    assert _outcome(parse_graph, text) == _outcome(parse_graph_two_pass, text)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.text(st.characters(codec="utf-8"), max_size=6)
+       | st.text("ab_09Zé٣ǅ -\n\t\r#", max_size=6))
+def test_line_regex_accepts_a_token_exactly_when_name_re_does(tok):
+    ok = bool(NAME_RE.match(tok))
+    for line in (f"vertex {tok}", f"edge {tok} a b", f"edge e {tok} b", f"edge e a {tok}"):
+        m = _LINE_RE.match(line)
+        assert bool(m and m.lastindex) == ok, line
 
 
 def test_parse_rejects_bad_names():
@@ -212,6 +259,35 @@ def test_path_rejects_non_composable_edges():
     g = load("fork2")
     with pytest.raises(Exception):
         g.path(["e1", "e2"])  # e1 ends at w1, e2 starts at u
+
+
+def test_edge_is_a_named_tuple_record():
+    e = Edge("e", "a", "b")
+    assert repr(e) == "Edge(name='e', source='a', target='b')"
+    assert e == Edge("e", "a", "b") and hash(e) == hash(Edge("e", "a", "b"))
+    assert e != Edge("e", "b", "a")
+    assert (e.name, e.source, e.target) == ("e", "a", "b")
+
+
+def test_pickled_graph_is_rebuilt_and_validated():
+    g = load("toeplitz")
+    loaded = pickle.loads(pickle.dumps(g))
+    assert loaded == g and type(loaded.edges[0]) is Edge
+    assert loaded.edge_map == g.edge_map and loaded.vertex_index == g.vertex_index
+    g.vertices = g.vertices + g.vertices[:1]  # a state no constructor accepts
+    with pytest.raises(DuplicateName):
+        pickle.loads(pickle.dumps(g))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(multigraphs())
+def test_least_out_edge_keeps_its_items_and_order(g):
+    # MonomialTable._other_edges iterates this dict: sources in the order
+    # of their first out-edge, each with its least out-edge name
+    expect: dict[str, str] = {}
+    for e in g.edges:
+        expect.setdefault(e.source, min(f.name for f in g.out_edges(e.source)))
+    assert list(g.least_out_edge.items()) == list(expect.items())
 
 
 def test_graph_equality_is_structural():
