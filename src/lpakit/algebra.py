@@ -20,6 +20,12 @@ edges are not special; the rewriting therefore terminates, and since a
 monomial has at most one reducible junction the result does not depend on
 the order in which terms are processed.
 
+A product p q^* . r s^* is nonzero only when q and r meet, that is when one
+of them is a prefix of the other; q^* r then collapses to the rest of the
+longer path (_raw_mul).  Element.__mul__ therefore pairs each term only with
+the terms whose p starts where its q starts, and the bracket pass in skew.py
+evaluates only the generator pairs that have meeting ends.
+
 Coefficients are exact throughout; nothing here ever rounds.
 Element carries Fraction coefficients.  The bracket and ideal passes run on
 an integer core instead: a MonomialTable numbers the monomials of one call
@@ -117,6 +123,20 @@ def _extend(p: Path, edge_name: str, target: str) -> Path:
     return Path(p.source, target, p.edges + (edge_name,))
 
 
+def _add_term(terms: dict[Monomial, Scalar], m: Monomial, c: Scalar) -> None:
+    """terms[m] += c, dropping m when the sum is 0.  A new c is stored as it
+    is: 0 + c would take Fraction's slow mixed-type path."""
+    acc = terms.get(m)
+    if acc is None:
+        terms[m] = c
+        return
+    acc += c
+    if acc:
+        terms[m] = acc
+    else:
+        del terms[m]
+
+
 def normal_form(
     g: Graph,
     items: Iterable[tuple[Monomial, Scalar]],
@@ -133,11 +153,7 @@ def normal_form(
         if not c:
             continue
         if is_basis_monomial(g, m):
-            acc = out.get(m, 0) + c
-            if acc:
-                out[m] = acc
-            else:
-                out.pop(m, None)
+            _add_term(out, m, c)
             continue
         f = m.p.edges[-1]
         v = g.edge_map[f].source
@@ -153,8 +169,8 @@ def normal_form(
 
 class Element:
     """An element of the path algebra: a graph plus a finite rational
-    combination of basis monomials.  The term map is treated as immutable;
-    all operators build new elements."""
+    combination of basis monomials.  The term map holds no zero coefficient
+    and is treated as immutable; all operators build new elements."""
 
     __slots__ = ("graph", "terms")
 
@@ -190,15 +206,17 @@ class Element:
         self._same_graph(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            acc = terms.get(m, 0) + c
-            if acc:
-                terms[m] = acc
-            else:
-                terms.pop(m, None)
+            _add_term(terms, m, c)
         return Element(self.graph, terms)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        self._same_graph(other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            _add_term(terms, m, -c)
+        return Element(self.graph, terms)
 
     def __neg__(self) -> "Element":
         return Element(self.graph, {m: -c for m, c in self.terms.items()})
@@ -215,12 +233,17 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._same_graph(other)
+        # m1 m2 vanishes unless q1 and p2 meet, so unless they share a source
+        by_source: dict[str, list[tuple[Monomial, Scalar]]] = {}
+        for item in other.terms.items():
+            by_source.setdefault(item[0].p.source, []).append(item)
         raw: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in by_source.get(m1.q.source, ()):
                 m = _raw_mul(m1, m2)
                 if m is not None:
-                    raw[m] = raw.get(m, 0) + c1 * c2
+                    acc = raw.get(m)
+                    raw[m] = c1 * c2 if acc is None else acc + c1 * c2
         return Element.from_terms(self.graph, raw.items())
 
     def __rmul__(self, other):
@@ -420,6 +443,7 @@ class MonomialTable:
             v: tuple(e.name for e in g.out_edges(v) if e.name != f)
             for v, f in self._special.items()
         }
+        self._widths = [2 * self._base]  # w = 2 B^(d+1) for each degree d
         self._paths: dict[int, tuple] = {}
         self._codes: dict[tuple, int] = {}
         self._normal: dict[int, dict[int, int]] = {}
@@ -439,16 +463,24 @@ class MonomialTable:
 
     def id(self, p: tuple, q: tuple) -> int:
         """The id of p q^*; the paths must share their range."""
-        w = 2 * self._base ** (len(p) + len(q) - 1)
+        d, widths = len(p) + len(q) - 2, self._widths
+        while len(widths) <= d:
+            widths.append(widths[-1] * self._base)
+        w = widths[d]
         k = (w + self._code(p)) * w + self._code(q)
         if k not in self._paths:
             self._paths[k] = (p, q)
         return k
 
     def star(self, k: int) -> int:
-        """The id of (p q^*)^* = q p^*."""
+        """The id of (p q^*)^* = q p^*: k's two codes swapped."""
         p, q = self._paths[k]
-        return self.id(q, p)
+        w = self._widths[len(p) + len(q) - 2]  # set when k got its id
+        a, b = divmod(k, w)
+        ks = (w + b) * w + a - w
+        if ks not in self._paths:
+            self._paths[ks] = (q, p)
+        return ks
 
     def intern(self, m: Monomial) -> int:
         return self.id((m.p.source,) + m.p.edges, (m.q.source,) + m.q.edges)

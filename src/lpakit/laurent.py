@@ -82,10 +82,13 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
+            acc = out.get(k)
+            out[k] = c if acc is None else acc + c
         return LaurentPoly(out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
@@ -100,7 +103,8 @@ class LaurentPoly:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                out[k] = out.get(k, 0) + c1 * c2
+                acc = out.get(k)
+                out[k] = c1 * c2 if acc is None else acc + c1 * c2
         return LaurentPoly(out)
 
     def __rmul__(self, other):
@@ -217,6 +221,8 @@ class LaurentMatrix:
         )
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "LaurentMatrix":

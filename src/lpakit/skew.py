@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .algebra import (
     Element,
@@ -143,24 +143,68 @@ def _generator_bracket(table: MonomialTable, x: tuple[int, int], y: tuple[int, i
     return {k: c for k, c in acc.items() if c}
 
 
+def _partners(ends: list[tuple[tuple, tuple]]) -> Callable[[int], list[int]]:
+    """Given the two ends of each generator, a function that lists, for a
+    generator i, the sorted j > i such that an end of generator j meets an
+    end of generator i.
+
+    The ends of m - m^* with m = p q^* are the paths p and q, as tuples
+    (source, *edge names); two paths meet when one is a prefix of the other.
+    The index lists, for each path, the generators that have it as an end
+    and the generators that have an end beginning with it.
+    """
+    holders: dict[tuple, list[int]] = {}
+    under: dict[tuple, list[int]] = {}
+    for i, pair in enumerate(ends):
+        for e in pair:
+            holders.setdefault(e, []).append(i)
+            for n in range(1, len(e) + 1):
+                below = under.setdefault(e[:n], [])
+                if not below or below[-1] != i:  # p and q may share a prefix
+                    below.append(i)
+
+    def partners(i: int) -> list[int]:
+        js: set[int] = set()
+        for e in ends[i]:
+            js.update(under[e])
+            for n in range(1, len(e)):
+                js.update(holders.get(e[:n], ()))
+        return sorted(j for j in js if j > i)
+
+    return partners
+
+
 def _brackets(table: MonomialTable, gens: list[Element]) -> Iterator[tuple[int, int, dict[int, int]]]:
-    """Every pair gens[i], gens[j] with i < j and the id vector of their
-    commutator, each once, ordered by total degree, then i, then j.
+    """Every pair gens[i], gens[j] with i < j whose commutator can be
+    nonzero, and the id vector of that commutator, each once, ordered by
+    total degree, then i, then j.
 
     skew_basis lists generators by degree, so the pairs of total degree t
-    are each i of degree a <= t/2 against the j > i of degree t - a.
+    are each i of degree a <= t/2 against the j > i of degree t - a.  A
+    product p q^* . r s^* vanishes unless q and r meet (_raw_mul), so the
+    four raw products of a pair all vanish, and its bracket is 0, unless the
+    two generators have ends that meet; only the pairs from _partners are
+    evaluated.
     """
     ids = []
+    ends = []
     for x in gens:
         m, ms = sorted(x.terms, key=x.terms.__getitem__, reverse=True)
         ids.append((table.intern(m), table.intern(ms)))
+        ends.append(((m.p.source,) + m.p.edges, (m.q.source,) + m.q.edges))
+    meets = _partners(ends)
+    partners: list[list[int] | None] = [None] * len(gens)  # filled as reached
     degs = [x.degree() for x in gens]
     for t in range(2 * max(degs, default=0) + 1):
         for i, a in enumerate(degs):
             if 2 * a > t:
                 break
             b = t - a
-            for j in range(max(i + 1, bisect_left(degs, b)), bisect_right(degs, b)):
+            js = partners[i]
+            if js is None:
+                js = partners[i] = meets(i)
+            lo = bisect_left(js, bisect_left(degs, b))
+            for j in js[lo:bisect_left(js, bisect_right(degs, b), lo)]:
                 yield i, j, _generator_bracket(table, ids[i], ids[j])
 
 

@@ -30,6 +30,7 @@ from lpakit.algebra import (
     normal_form,
     paths_up_to,
     zero,
+    _raw_mul,
 )
 from lpakit.classify import (
     Classification,
@@ -53,6 +54,7 @@ from lpakit.graph import (
     weak_components,
 )
 from lpakit.graph import Path as GraphPath
+from lpakit.laurent import LaurentPoly
 from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -489,14 +491,17 @@ def dimension_oracle(g: Graph) -> int:
 # -- rewriting and brackets, by the slow routes ---------------------------------
 
 
-def normal_form_random_order(g: Graph, items, rng: random.Random) -> dict:
-    """Rewrite onto the basis like normal_form, but take each next work item
-    at random.  The rewriting is confluent, so every order must agree with
-    normal_form's last-in-first-out one."""
+def normal_form_oracle(g: Graph, items, rng: random.Random | None = None) -> dict:
+    """Rewrite onto the basis like normal_form, with every sum started at 0,
+    as normal_form did before it stored new coefficients as they are.  With
+    rng, each next work item is taken at random: the rewriting is confluent,
+    so every order must agree with normal_form's last-in-first-out one.
+    Without rng, the order is normal_form's, and so is the order of the
+    result's terms."""
     out: dict = {}
     work = [(m, Fraction(c)) for m, c in items]
     while work:
-        m, c = work.pop(rng.randrange(len(work)))
+        m, c = work.pop() if rng is None else work.pop(rng.randrange(len(work)))
         if not c:
             continue
         if is_basis_monomial(g, m):
@@ -517,6 +522,55 @@ def normal_form_random_order(g: Graph, items, rng: random.Random) -> dict:
                 q2 = GraphPath(q1.source, e.target, q1.edges + (e.name,))
                 work.append((Monomial(p2, q2), -c))
     return out
+
+
+def raw_product_all_pairs(x: Element, y: Element) -> dict:
+    """The product of x and y before it is normalised, as Element.__mul__
+    computed it before it paired each term only with the terms whose p
+    starts where its q starts: _raw_mul on every pair of terms, with every
+    sum started at 0.  Raw terms that cancel are kept, with coefficient 0."""
+    raw: dict = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            m = _raw_mul(m1, m2)
+            if m is not None:
+                raw[m] = raw.get(m, 0) + c1 * c2
+    return raw
+
+
+def element_mul_all_pairs(x: Element, y: Element) -> Element:
+    """x * y by raw_product_all_pairs and normal_form_oracle."""
+    return Element(x.graph, normal_form_oracle(x.graph, raw_product_all_pairs(x, y).items()))
+
+
+def laurent_mul_zero_start(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f * g as LaurentPoly.__mul__ computed it before it stored new
+    coefficients as they are: every sum started at 0."""
+    out: dict = {}
+    for k1, c1 in f.coeffs.items():
+        for k2, c2 in g.coeffs.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def ends_meet(x: Element, y: Element) -> bool:
+    """Whether an end of skew generator x meets an end of y: a path p or q of
+    x's monomials p q^* is a prefix of a path of y's, or the other way
+    round.  Checked on every pair of ends, by walking the edges."""
+    def ends(z):
+        m = next(iter(z.terms))
+        return (m.p, m.q)
+
+    for a in ends(x):
+        for b in ends(y):
+            if a.source == b.source and all(e == f for e, f in zip(a.edges, b.edges)):
+                return True
+    return False
+
+
+def meeting_pairs(gens: list[Element]) -> list[tuple[int, int]]:
+    """Every pair i < j of skew generators whose ends meet."""
+    return [(i, j) for i, j in combinations(range(len(gens)), 2) if ends_meet(gens[i], gens[j])]
 
 
 def first_nonzero_bracket_oracle(g: Graph, n: int) -> BracketWitness | None:

@@ -15,11 +15,13 @@ from helpers import (
     acyclic_multigraphs,
     cycles_oracle,
     dimension_oracle,
+    element_mul_all_pairs,
     load,
     multigraphs,
-    normal_form_random_order,
+    normal_form_oracle,
     random_acyclic_graph,
     random_element,
+    raw_product_all_pairs,
     span,
 )
 
@@ -158,7 +160,7 @@ def test_normal_form_is_confluent_under_random_strategies(toeplitz, fork2):
     baseline = normal_form(g, [(bad, Fraction(3)), (Monomial(cpath, cpath), Fraction(-1))])
     for seed in range(25):
         rng = random.Random(seed)
-        again = normal_form_random_order(
+        again = normal_form_oracle(
             g,
             [(bad, Fraction(3)), (Monomial(cpath, cpath), Fraction(-1))],
             rng,
@@ -177,8 +179,9 @@ def test_normal_form_agrees_with_random_rewriting_orders(g, data):
         items.append((Monomial(p, q), Fraction(data.draw(st.integers(-3, 3)))))
     want = normal_form(g, items)
     assert all(is_basis_monomial(g, m) for m in want)
+    assert list(normal_form_oracle(g, items).items()) == list(want.items())
     rng = random.Random(data.draw(st.integers(0, 2**32)))
-    assert normal_form_random_order(g, items, rng) == want
+    assert normal_form_oracle(g, items, rng) == want
 
 
 def test_normal_form_output_is_on_basis(rng, corpus):
@@ -277,6 +280,78 @@ def test_elements_are_not_hashable(toeplitz):
 def test_monomial_element_rejects_range_mismatch(fork2):
     with pytest.raises(AlgebraError):
         monomial_element(fork2, ["e1"], ["e2"])
+
+
+def test_subtraction_names_minus_and_defers_to_the_right_operand(toeplitz):
+    class Right:
+        def __rsub__(self, left):
+            return ("rsub", left)
+
+    right = Right()
+    for x in (edge_element(toeplitz, "c"), LaurentPoly.one(), LaurentMatrix.identity(2)):
+        for foreign in (1, "a"):
+            with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: "):
+                x - foreign
+        tag, left = x - right
+        assert tag == "rsub" and left is x
+
+
+def _cancelling_factors(g: Graph, m: Monomial) -> list[tuple[Element, Element]]:
+    """Pairs x, y = m whose product has raw terms that cancel.  With m = r s^*
+    and r = q u w for a nonempty u whose last edge is not special, q q^* and
+    (q u)(q u)^* are basis monomials (when q is a vertex or ends with an edge
+    that is not special) and both give the raw product q u w s^* with m."""
+    def prefix(k):
+        return make_path(g, list(m.p.edges[:k]) if k else m.p.source)
+
+    out = []
+    y = Element.from_terms(g, [(m, Fraction(1))])
+    for i in range(len(m.p.edges)):
+        q = prefix(i)
+        if not is_basis_monomial(g, Monomial(q, q)):
+            continue
+        for j in range(i + 1, len(m.p.edges) + 1):
+            qu = prefix(j)
+            if is_basis_monomial(g, Monomial(qu, qu)):
+                x = Element(g, {Monomial(q, q): Fraction(1), Monomial(qu, qu): Fraction(-1)})
+                out.append((x, y))
+    return out
+
+
+def _assert_product_matches_the_all_pairs_oracle(x: Element, y: Element) -> None:
+    got, want = x * y, element_mul_all_pairs(x, y)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert str(got) == str(want)
+
+
+def test_product_with_cancelling_raw_terms_matches_the_oracle(corpus):
+    cases = 0
+    for g in corpus.values():
+        for m in basis_monomials(g, 3):
+            for x, y in _cancelling_factors(g, m):
+                assert any(not c for c in raw_product_all_pairs(x, y).values())
+                _assert_product_matches_the_all_pairs_oracle(x, y)
+                cases += 1
+    assert cases > 100
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=7), st.data())
+def test_product_matches_the_all_pairs_oracle(g, data):
+    # terms are paired only when their paths can meet, and new sums are not
+    # started at 0; the product's terms, in order, and its text must not move
+    pool = basis_monomials(g, 3)
+    coefficient = st.fractions(-3, 3, max_denominator=3)
+    terms = st.lists(st.tuples(st.sampled_from(pool), coefficient), max_size=5)
+    x = Element.from_terms(g, data.draw(terms))
+    y = Element.from_terms(g, data.draw(terms))
+    m = data.draw(st.sampled_from(pool))
+    cancelling = _cancelling_factors(g, m)
+    if cancelling and data.draw(st.booleans()):
+        cx, cy = data.draw(st.sampled_from(cancelling))
+        x, y = x + cx, y + cy
+    _assert_product_matches_the_all_pairs_oracle(x, y)
+    _assert_product_matches_the_all_pairs_oracle(y, x)
 
 
 def test_monomial_mul_agrees_with_element_mul(rng, toeplitz):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import laurent_mul_zero_start
+
 from lpakit.algebra import Element, basis_monomials
 from lpakit.laurent import (
     ONE_MINUS_T,
@@ -55,6 +57,18 @@ def test_poly_product_with_inverse_substitution():
     # (1 - t)(1 - 1/t) = 2 - t - 1/t
     prod = ONE_MINUS_T * ONE_MINUS_T.subs_inverse()
     assert prod == 2 * T(0) - T(1) - T(-1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_poly_product_matches_the_zero_start_oracle(data):
+    # exponents in a narrow range, so that products collect and cancel terms
+    poly = st.dictionaries(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=3), max_size=4)
+    f, g = LaurentPoly(data.draw(poly)), LaurentPoly(data.draw(poly))
+    got, want = f * g, laurent_mul_zero_start(f, g)
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert str(got) == str(want)
+    assert (f + g) - g == f
 
 
 def test_poly_string_forms():

@@ -16,6 +16,7 @@ from helpers import (
     ideal_space_oracle,
     load,
     longest_path,
+    meeting_pairs,
     multigraphs,
     path_counts,
     random_element,
@@ -239,24 +240,70 @@ def _count_calls(monkeypatch, calls: Counter, owner, attr: str) -> None:
     monkeypatch.setattr(owner, attr, counted)
 
 
+def _generator_index(g, gens) -> dict[int, int]:
+    """Generator number by the id of its monomial m (coefficient 1), which is
+    the first id of its pair in _brackets; ids do not depend on the table."""
+    table = MonomialTable(g)
+    return {table.intern(m): i for i, x in enumerate(gens) for m, c in x.terms.items() if c > 0}
+
+
 def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
+    # exactly the pairs whose ends meet are evaluated, each once: every other
+    # pair brackets to 0 (test_skipped_pairs_have_four_vanishing_products)
     calls = Counter()
+    evaluated = []
+    skew_module = sys.modules["lpakit.skew"]
+    generator_bracket = skew_module._generator_bracket
+
+    def recorded(table, x, y):
+        evaluated.append((x[0], y[0]))
+        return generator_bracket(table, x, y)
+
+    monkeypatch.setattr(skew_module, "_generator_bracket", recorded)
     # the package re-exports classify(), which hides the submodule's name
-    _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "_generator_bracket")
-    _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "classify")
+    _count_calls(monkeypatch, calls, skew_module, "classify")
     _count_calls(monkeypatch, calls, sys.modules["lpakit.classify"], "classify")
     _count_calls(monkeypatch, calls, RowSpace, "reduced_rows")
     for name in ("toeplitz", "balloon_core2", "double_edge_cycle", "fork2", "fiber"):
         g = corpus[name]
         for n in range(4):
             calls.clear()
+            evaluated.clear()
             bundle = lie_simplicity_evidence(g, n)
             # one pass serves the slice and the degree-2 containment probe
             probe = 2 if bundle.classification.almost_simple else n
-            gens = len(skew_basis(g, max(n, probe)))
-            assert calls["_generator_bracket"] == gens * (gens - 1) // 2, (name, n)
+            gens = skew_basis(g, max(n, probe))
+            index = _generator_index(g, gens)
+            pairs = sorted((index[a], index[b]) for a, b in evaluated)
+            assert pairs == meeting_pairs(gens), (name, n)
             assert calls["classify"] == 1, (name, n)
             assert calls["reduced_rows"] == 0, (name, n)
+
+
+def _assert_skipped_pairs_vanish(g, n) -> int:
+    """Every generator pair that _brackets skips has four raw products that
+    vanish, so its bracket is 0; returns the number of pairs skipped."""
+    table, gens = MonomialTable(g), skew_basis(g, n)
+    evaluated = {(i, j) for i, j, _ in _brackets(table, gens)}
+    ids = {i: (k, table.star(k)) for k, i in _generator_index(g, gens).items()}
+    skipped = 0
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        if (i, j) not in evaluated:
+            skipped += 1
+            assert all(table.product(u, v) is None for u in ids[i] for v in ids[j]), (i, j)
+    return skipped
+
+
+def test_skipped_pairs_have_four_vanishing_products(corpus):
+    skipped = sum(_assert_skipped_pairs_vanish(g, n) for g in corpus.values() for n in range(6))
+    assert skipped > 10_000
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=7), st.integers(0, 4))
+def test_skipped_pairs_have_four_vanishing_products_on_multigraphs(g, n):
+    assume(len(skew_basis(g, n)) <= 150)
+    _assert_skipped_pairs_vanish(g, n)
 
 
 def test_evidence_bundle_runs_tarjan_once(monkeypatch):
