@@ -42,7 +42,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-from .classify import classify, is_hereditary
+from .classify import is_hereditary
 from .graph import Graph, Path, condensation, path_key
 
 Scalar = Fraction
@@ -72,10 +72,6 @@ class GraphHasCycle(AlgebraError):
 
 class NotHereditary(AlgebraError):
     """Ideal spans are only computed for hereditary vertex subsets."""
-
-
-class NotBalloonDecomposition(AlgebraError):
-    """The idempotent family needs a verified balloon decomposition."""
 
 
 class Monomial(NamedTuple):
@@ -640,7 +636,7 @@ class RowSpace:
         return rows
 
 
-# -- ideals and idempotents -----------------------------------------------------
+# -- ideals ---------------------------------------------------------------------
 
 
 def ideal_span(g: Graph, ws: Iterable[str], n: int) -> list[Element]:
@@ -672,28 +668,3 @@ def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
                 space.add(table.normal_form(table.id(p, q)))
     return space
 
-
-def orthogonal_idempotent_family(g: Graph, ws: Iterable[str], k: int) -> list[Element]:
-    """The family supporting the balloon decomposition over the core ws:
-    the sum of the core vertices, then for every balloon with loop c and
-    every edge e from it into the core the elements (c^j e)(c^j e)^* for
-    j = 0..k.  Pairwise products vanish and every member is idempotent."""
-    wlist = list(ws)
-    cls = classify(g)
-    if not cls.almost_simple or set(wlist) != set(cls.core):
-        raise NotBalloonDecomposition(
-            "the graph does not decompose into balloons over the given core"
-        )
-    u = zero(g)
-    for v in cls.core:
-        u = u + vertex_element(g, v)
-    family = [u]
-    wset = set(cls.core)
-    for v in cls.balloons:
-        loop = next(e for e in g.out_edges(v) if e.target == v)
-        into = [e for e in g.out_edges(v) if e.target in wset]
-        for j in range(k + 1):
-            for e in into:
-                p = g.path([loop.name] * j + [e.name])
-                family.append(Element.from_terms(g, [(Monomial(p, p), Fraction(1))]))
-    return family

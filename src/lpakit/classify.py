@@ -17,7 +17,7 @@ whether the commutator algebra of skew-symmetric elements is simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Container, Iterable
 
@@ -167,9 +167,14 @@ def enumerate_hs_subsets(g: Graph) -> list[tuple[str, ...]]:
 
 @dataclass(frozen=True)
 class SimplicityResult:
-    simple: bool
+    """is_simple's answer: a certificate of non-simplicity, or none."""
+
     proper_hs_subset: tuple[str, ...] | None = None
     exitless_cycle: tuple[str, ...] | None = None
+
+    @property
+    def simple(self) -> bool:
+        return self.proper_hs_subset is None and self.exitless_cycle is None
 
 
 def _unreaching_vertex(g: Graph, dropped: Collection[str] = ()) -> str | None:
@@ -220,11 +225,11 @@ def _certificate(g: Graph, v: str | None) -> SimplicityResult:
     as no dropped vertex can be saturated into a closure or lie on a cycle
     without an exit."""
     if v is not None:
-        return SimplicityResult(False, proper_hs_subset=tuple(hs_closure(g, [v])))
+        return SimplicityResult(proper_hs_subset=tuple(hs_closure(g, [v])))
     bad = exitless_cycles(g)
     if bad:
-        return SimplicityResult(False, exitless_cycle=bad[0])
-    return SimplicityResult(True)
+        return SimplicityResult(exitless_cycle=bad[0])
+    return SimplicityResult()
 
 
 def is_simple(g: Graph) -> SimplicityResult:
@@ -301,26 +306,15 @@ def find_balloons(g: Graph, ws: Iterable[str]) -> list[str]:
 # -- fiber stripping ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberUnit:
-    source: str
-    edge: str
-    target: str
-
-
-def fiber_units(g: Graph) -> list[FiberUnit]:
+def fiber_units(g: Graph) -> list[Edge]:
     """Fibers whose source emits nothing else.
 
-    Such a unit {source, edge, target} touches no other edge: the source
-    receives nothing and emits only the fiber, the target emits nothing and
-    receives only the fiber.  Detaching units therefore never creates new
-    fibers, and one pass is enough.
+    Such a unit, the edge with its source and target, touches no other
+    edge: the source receives nothing and emits only the fiber, the target
+    emits nothing and receives only the fiber.  Detaching units therefore
+    never creates new fibers, and one pass is enough.
     """
-    return [
-        FiberUnit(e.source, e.name, e.target)
-        for e in find_fibers(g)
-        if len(g.out_edges(e.source)) == 1
-    ]
+    return [e for e in find_fibers(g) if len(g.out_edges(e.source)) == 1]
 
 
 # -- the classifier -----------------------------------------------------------
@@ -334,14 +328,36 @@ class FailureReason:
 
 @dataclass(frozen=True)
 class Classification:
-    almost_simple: bool
+    """classify's verdict.  Only the facts are stored; almost_simple and
+    warnings follow from them."""
+
     core: tuple[str, ...]
     balloons: tuple[str, ...]
-    fiber_units: tuple[FiberUnit, ...]
+    fiber_units: tuple[Edge, ...]
     failure_reason: FailureReason | None
     simplicity: SimplicityResult
     components: tuple[tuple[str, ...], ...]
-    warnings: tuple[str, ...] = field(default=())
+
+    @property
+    def almost_simple(self) -> bool:
+        return self.failure_reason is None
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        kind = self.failure_reason and self.failure_reason.kind
+        return tuple(text for holds, text in (
+            (len(self.components) > 1,
+             "graph is disconnected; the decomposition is applied to the whole "
+             "graph, component by component effects are not modelled"),
+            (bool(self.fiber_units),
+             "fiber units are detached before decomposition; each contributes a "
+             "2x2 matrix block with zero commutators of skew elements"),
+            (kind == "empty_after_fiber_stripping",
+             "every vertex lies in a fiber unit; skew commutators all vanish"),
+            (kind == "trivial_remainder",
+             "remainder is a single isolated vertex; its skew-symmetric part is "
+             "zero, so the verdict is negative despite the trivially simple core"),
+        ) if holds)
 
 
 def classify(g: Graph) -> Classification:
@@ -357,44 +373,12 @@ def classify(g: Graph) -> Classification:
     so the commutator algebra cannot be simple).
     """
     comps = tuple(tuple(c) for c in weak_components(g))
-    warnings: list[str] = []
-    if len(comps) > 1:
-        warnings.append(
-            "graph is disconnected; the decomposition is applied to the whole "
-            "graph, component by component effects are not modelled"
-        )
     first = _unreaching_vertex(g)
     simplicity = _certificate(g, first)
 
     units = fiber_units(g)
-    units_t = tuple(units)
-    if units:
-        warnings.append(
-            "fiber units are detached before decomposition; each contributes a "
-            "2x2 matrix block with zero commutators of skew elements"
-        )
-
-    def verdict(core, balloons, ok, reason=None):
-        return Classification(
-            almost_simple=ok,
-            core=tuple(core),
-            balloons=tuple(balloons),
-            fiber_units=units_t,
-            failure_reason=reason,
-            simplicity=simplicity,
-            components=comps,
-            warnings=tuple(warnings),
-        )
-
-    drop = {u.source for u in units} | {u.target for u in units}
+    drop = {e.source for e in units} | {e.target for e in units}
     remainder = [v for v in g.vertices if v not in drop]
-    if not remainder:
-        warnings.append("every vertex lies in a fiber unit; skew commutators all vanish")
-        return verdict((), (), False, FailureReason(
-            "empty_after_fiber_stripping",
-            "detaching fiber units removed every vertex",
-        ))
-
     # a fiber unit touches no other edge, so each remaining vertex has the same
     # edges in g as in the remainder, over which the balloon clauses are
     # exactly the local test
@@ -403,36 +387,31 @@ def classify(g: Graph) -> Classification:
     balloon_set = set(balloons)
     core = [v for v in remainder if v not in balloon_set]
 
-    if len(remainder) == 1 and g.is_sink(remainder[0]):
-        warnings.append(
-            "remainder is a single isolated vertex; its skew-symmetric part is "
-            "zero, so the verdict is negative despite the trivially simple core"
-        )
-        return verdict(core, balloons, False, FailureReason(
-            "trivial_remainder",
-            "a single isolated vertex has no skew elements to generate anything",
-        ))
-
-    # core is never empty here: a balloon candidate needs a non-loop edge,
-    # and whatever that edge hits has an incoming edge besides any loop.
-    # The core is decided on g's condensation, without building it.  Each
-    # balloon and fiber-unit vertex is its own strong component, and no core
-    # vertex has an edge to one: a balloon receives only its loop, a unit
-    # touches no other edge.  No closure of core vertices saturates one in:
-    # a balloon's loop and a unit source's edge leave the closure, and a
-    # unit target is a sink.  And a balloon's loop has an exit.  So the
-    # core's certificate is g's whenever its first unreaching vertex is g's.
-    v = _unreaching_vertex(g, drop | balloon_set)
-    core_result = simplicity if v == first else _certificate(g, v)
-    if not core_result.simple:
-        what = (
+    if not remainder:
+        reason = FailureReason(
+            "empty_after_fiber_stripping", "detaching fiber units removed every vertex")
+    elif len(remainder) == 1 and g.is_sink(remainder[0]):
+        reason = FailureReason(
+            "trivial_remainder", "a single isolated vertex has no skew elements to generate anything")
+    else:
+        # core is never empty here: a balloon candidate needs a non-loop edge,
+        # and whatever that edge hits has an incoming edge besides any loop.
+        # The core is decided on g's condensation, without building it.  Each
+        # balloon and fiber-unit vertex is its own strong component, and no
+        # core vertex has an edge to one: a balloon receives only its loop, a
+        # unit touches no other edge.  No closure of core vertices saturates
+        # one in: a balloon's loop and a unit source's edge leave the closure,
+        # and a unit target is a sink.  And a balloon's loop has an exit.  So
+        # the core's certificate is g's whenever its first unreaching vertex
+        # is g's.
+        v = _unreaching_vertex(g, drop | balloon_set)
+        core_result = simplicity if v == first else _certificate(g, v)
+        reason = None if core_result.simple else FailureReason("core_not_simple", (
             f"proper hereditary-saturated subset {list(core_result.proper_hs_subset)}"
             if core_result.proper_hs_subset is not None
             else f"cycle without exit ({' '.join(core_result.exitless_cycle)})"
-        )
-        return verdict(core, balloons, False, FailureReason("core_not_simple", what))
-
-    return verdict(core, balloons, True)
+        ))
+    return Classification(tuple(core), tuple(balloons), tuple(units), reason, simplicity, comps)
 
 
 def validate_classification(g: Graph, cls: Classification) -> bool:
@@ -446,13 +425,13 @@ def validate_classification(g: Graph, cls: Classification) -> bool:
     if not cls.almost_simple:
         return True
     parts: list[str] = list(cls.core) + list(cls.balloons)
-    for u in cls.fiber_units:
-        parts += [u.source, u.target]
+    for e in cls.fiber_units:
+        parts += [e.source, e.target]
     if sorted(parts) != sorted(g.vertices):
         return False
     fibers = {e.name for e in find_fibers(g)}
-    for u in cls.fiber_units:
-        if u.edge not in fibers or len(g.out_edges(u.source)) != 1:
+    for e in cls.fiber_units:
+        if e.name not in fibers or len(g.out_edges(e.source)) != 1:
             return False
     keep = set(cls.core) | set(cls.balloons)
     if not keep or not cls.core:

@@ -19,14 +19,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from decimal import Decimal
 from itertools import repeat
 from json.encoder import encode_basestring_ascii as encode_str
 from pathlib import Path as FsPath
 
 from .algebra import AlgebraError, GraphHasCycle, dimension
 from .classify import (
-    HS_ENUM_LIMIT,
     ClassifyError,
+    GraphTooLarge,
     classify,
     enumerate_hs_subsets,
     find_fibers,
@@ -74,6 +75,12 @@ def _read_corpus_graph(path: FsPath) -> Graph:
         raise GraphError(f"{path.name}: {exc}") from exc
 
 
+def _int_text(n: int) -> str:
+    """n in decimal, however many digits it has: str() refuses an int of
+    more than sys.get_int_max_str_digits() digits, Decimal has no limit."""
+    return str(Decimal(n))
+
+
 def _write_json(x, write, indent: str = "\n") -> None:
     """Write x as json.dump(x, indent=2, sort_keys=True) would, piece by
     piece.  It takes dicts with str keys, lists, str, int, bool and None,
@@ -93,7 +100,7 @@ def _write_json(x, write, indent: str = "\n") -> None:
     elif x is False:
         write("false")
     elif isinstance(x, int):
-        write(int.__repr__(x))
+        write(_int_text(x))
     elif isinstance(x, list):
         if not x:
             write("[]")
@@ -192,7 +199,7 @@ def _classification_report(path: str | None, g: Graph, args) -> dict:
         "decomposition": {
             "core": list(cls.core),
             "balloons": list(cls.balloons),
-            "fiber_units": [[u.source, u.edge, u.target] for u in cls.fiber_units],
+            "fiber_units": [[e.source, e.name, e.target] for e in cls.fiber_units],
         },
         "failure_reason": None if cls.failure_reason is None else {
             "kind": cls.failure_reason.kind,
@@ -235,7 +242,7 @@ def _render_classification(r: dict) -> list[str]:
     if ev:
         out.append(f"evidence (truncation {ev['truncation']}):")
         dim = ev["algebra_dimension"]
-        out.append(f"  algebra dimension: {dim if dim is not None else 'infinite (cycle present)'}")
+        out.append(f"  algebra dimension: {'infinite (cycle present)' if dim is None else _int_text(dim)}")
         out.append(f"  bracket space dimension: {ev['bracket_space_dimension']}")
         out.append(f"  vanishing family: {'yes' if ev['vanishing_family'] else 'no'}")
         ic = ev["ideal_containment"]
@@ -288,9 +295,9 @@ def cmd_inspect(args) -> int:
     except TooManyCycles:
         cycles = []
         truncated = True
-    if len(g.vertices) <= HS_ENUM_LIMIT:
+    try:
         subsets = [list(s) for s in enumerate_hs_subsets(g)]
-    else:
+    except GraphTooLarge:
         subsets = None
     smallest = smallest_hs_subset(g)
     report = {
@@ -404,7 +411,8 @@ def cmd_algebra(args) -> int:
         report["product_checks"] = res.product_checks
 
     def render(r: dict) -> list[str]:
-        return [f"{k}: {v}" for k, v in r.items() if k != "images"] + (
+        return [f"{k}: {_int_text(v) if type(v) is int else v}"
+                for k, v in r.items() if k != "images"] + (
             [f"  {k} -> {v}" for k, v in r["images"].items()] if "images" in r else []
         )
 

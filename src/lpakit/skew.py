@@ -81,10 +81,6 @@ def skew_part(x: Element) -> Element:
     return x - x.star()
 
 
-def is_skew(x: Element) -> bool:
-    return x.star() == -x
-
-
 def bracket(a: Element, b: Element) -> Element:
     return a * b - b * a
 

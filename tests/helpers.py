@@ -29,6 +29,7 @@ from lpakit.algebra import (
     monomial_key,
     normal_form,
     paths_up_to,
+    vertex_element,
     zero,
     _raw_mul,
 )
@@ -37,6 +38,7 @@ from lpakit.classify import (
     FailureReason,
     SimplicityResult,
     classify,
+    find_balloons,
     hereditary_closure,
     is_hereditary,
     is_simple,
@@ -218,11 +220,11 @@ def is_simple_per_vertex(g: Graph) -> SimplicityResult:
     for v in g.vertices:
         cl = hs_closure_rescan(g, [v])
         if set(cl) != set(g.vertices):
-            return SimplicityResult(False, proper_hs_subset=tuple(cl))
+            return SimplicityResult(proper_hs_subset=tuple(cl))
     bad = exitless_cycles(g)
     if bad:
-        return SimplicityResult(False, exitless_cycle=bad[0])
-    return SimplicityResult(True)
+        return SimplicityResult(exitless_cycle=bad[0])
+    return SimplicityResult()
 
 
 def smallest_hs_subset_by_intersection(g: Graph) -> list[str] | None:
@@ -421,7 +423,7 @@ def classify_by_subgraph(g: Graph) -> Classification:
                 f"proper hereditary-saturated subset {list(core.proper_hs_subset)}")
         else:
             reason = FailureReason("core_not_simple", f"cycle without exit ({' '.join(core.exitless_cycle)})")
-    return replace(cls, almost_simple=reason is None, failure_reason=reason, simplicity=is_simple(g))
+    return replace(cls, failure_reason=reason, simplicity=is_simple(g))
 
 
 def is_fork_oracle(g: Graph) -> bool:
@@ -705,6 +707,33 @@ def containment_oracle(g: Graph, core, n: int, slack: int) -> ContainmentReport:
 
 def rows_as_elements(g: Graph, space) -> tuple[Element, ...]:
     return tuple(Element(g, row) for row in space.reduced_rows())
+
+
+def is_skew(x: Element) -> bool:
+    """x is skew-symmetric: star(x) = -x."""
+    return x.star() == -x
+
+
+def orthogonal_idempotent_family(g: Graph, ws, k: int) -> list[Element]:
+    """The family supporting the balloon decomposition over the core ws:
+    the sum of the core vertices, then for every balloon over ws with loop
+    c and every edge e from it into the core the elements (c^j e)(c^j e)^*
+    for j = 0..k.  Pairwise products vanish and every member is idempotent
+    when ws is the core of classify's decomposition."""
+    wset = set(ws)
+    u = zero(g)
+    for v in g.vertices:
+        if v in wset:
+            u = u + vertex_element(g, v)
+    family = [u]
+    for v in find_balloons(g, wset):
+        loop = next(e for e in g.out_edges(v) if e.target == v)
+        into = [e for e in g.out_edges(v) if e.target in wset]
+        for j in range(k + 1):
+            for e in into:
+                p = g.path([loop.name] * j + [e.name])
+                family.append(Element.from_terms(g, [(Monomial(p, p), Fraction(1))]))
+    return family
 
 
 # -- random instances ------------------------------------------------------------

