@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import is_hereditary
 from .graph import Graph, Path, condensation, path_key
@@ -353,22 +353,24 @@ def paths_up_to(g: Graph, n: int) -> list[Path]:
     return out
 
 
-def basis_monomials(g: Graph, n: int) -> list[Monomial]:
-    """The basis monomials of total degree at most n, in canonical order."""
+def _monomials_by_range(g: Graph, n: int, ranges: Container[str]) -> Iterator[Monomial]:
+    """Every p q^* of degree at most n whose range lies in ranges, range by
+    range in declaration order, then p and q in paths_up_to order."""
     by_range: dict[str, list[Path]] = {}
     for p in paths_up_to(g, n):
-        by_range.setdefault(p.target, []).append(p)
-    out = []
+        if p.target in ranges:
+            by_range.setdefault(p.target, []).append(p)
     for v in g.vertices:
         for p in by_range.get(v, ()):
             for q in by_range.get(v, ()):
-                if len(p.edges) + len(q.edges) > n:
-                    continue
-                m = Monomial(p, q)
-                if is_basis_monomial(g, m):
-                    out.append(m)
-    out.sort(key=monomial_key)
-    return out
+                if len(p.edges) + len(q.edges) <= n:
+                    yield Monomial(p, q)
+
+
+def basis_monomials(g: Graph, n: int) -> list[Monomial]:
+    """The basis monomials of total degree at most n, in canonical order."""
+    ms = _monomials_by_range(g, n, g.vertex_index)
+    return sorted((m for m in ms if is_basis_monomial(g, m)), key=monomial_key)
 
 
 def dimension(g: Graph) -> int:
@@ -654,17 +656,7 @@ def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
     wlist = list(ws)
     if not is_hereditary(g, wlist):
         raise NotHereditary(f"{sorted(set(wlist))} is not hereditary")
-    wset = set(wlist)
-    by_range: dict[str, list[tuple]] = {}
-    for p in paths_up_to(g, n):
-        if p.target in wset:
-            by_range.setdefault(p.target, []).append((p.source,) + p.edges)
     space = RowSpace(table)
-    for v in g.vertices:
-        for p in by_range.get(v, ()):
-            for q in by_range.get(v, ()):
-                if len(p) + len(q) - 2 > n:
-                    continue
-                space.add(table.normal_form(table.id(p, q)))
+    for m in _monomials_by_range(g, n, set(wlist)):
+        space.add(table.normal_form(table.intern(m)))
     return space
-

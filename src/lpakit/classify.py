@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Container, Iterable
 
-from .graph import Edge, Graph, condensation, exitless_cycles, weak_components
+from .graph import Edge, Graph, condensation, exitless_cycles, sources, weak_components
 
 HS_ENUM_LIMIT = 12
 # Upstream-most essential components per reachability pass of is_simple: the
@@ -250,16 +250,15 @@ def is_simple(g: Graph) -> SimplicityResult:
 # -- fibers, forks, balloons --------------------------------------------------
 
 
+def _is_fiber(g: Graph, e: Edge) -> bool:
+    """The fiber clause of find_fibers, for the one edge e."""
+    return not g._in[e.source] and not g._out[e.target] and len(g._in[e.target]) == 1
+
+
 def find_fibers(g: Graph) -> list[Edge]:
     """Edges e whose source receives nothing, whose range emits nothing,
     and whose range receives no edge other than e itself."""
-    out = []
-    for e in g.edges:
-        if not g.is_source(e.source) or not g.is_sink(e.target):
-            continue
-        if len(g.in_edges(e.target)) == 1:
-            out.append(e)
-    return out
+    return [e for e in g.edges if _is_fiber(g, e)]
 
 
 def is_fork(g: Graph) -> bool:
@@ -267,13 +266,10 @@ def is_fork(g: Graph) -> bool:
     exactly one source vertex, every other vertex a sink, at least two
     vertices in total.  Connected follows: every other vertex receives an
     edge, and only the source emits."""
-    if len(g.vertices) < 2:
+    srcs = sources(g)
+    if len(g.vertices) < 2 or len(srcs) != 1:
         return False
-    srcs = [v for v in g.vertices if g.is_source(v)]
-    if len(srcs) != 1:
-        return False
-    hub = srcs[0]
-    return all(g.is_sink(v) for v in g.vertices if v != hub)
+    return all(g.is_sink(v) for v in g.vertices if v != srcs[0])
 
 
 def _balloon_clauses(g: Graph, v: str, wset: Container[str]) -> bool:
@@ -429,10 +425,8 @@ def validate_classification(g: Graph, cls: Classification) -> bool:
         parts += [e.source, e.target]
     if sorted(parts) != sorted(g.vertices):
         return False
-    fibers = {e.name for e in find_fibers(g)}
-    for e in cls.fiber_units:
-        if e.name not in fibers or len(g.out_edges(e.source)) != 1:
-            return False
+    if not set(cls.fiber_units) <= set(fiber_units(g)):
+        return False
     keep = set(cls.core) | set(cls.balloons)
     if not keep or not cls.core:
         return False
@@ -458,10 +452,5 @@ def is_vanishing_family(g: Graph) -> bool:
     sink that receives only that edge.  A second edge into a loop's vertex
     breaks one of the two rules.
     """
-    for e in g.edges:
-        if e.source == e.target:
-            if len(g._out[e.source]) != 1:
-                return False
-        elif g._in[e.source] or g._out[e.target] or len(g._in[e.target]) != 1:
-            return False
-    return True
+    return all(len(g._out[e.source]) == 1 if e.source == e.target else _is_fiber(g, e)
+               for e in g.edges)

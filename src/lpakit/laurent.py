@@ -319,12 +319,10 @@ def cycle_iso(d: int) -> CycleModel:
     """Generator assignment for the cycle: vi -> E_ii, ei -> E_{i,i+1}
     (i < d), and the closing edge ed -> t * E_{d,1}."""
     g = cycle_graph(d)
-    images: dict[str, LaurentMatrix] = {}
-    for i in range(1, d + 1):
-        images[f"v{i}"] = LaurentMatrix.unit(d, i - 1, i - 1)
-    for i in range(1, d):
-        images[f"e{i}"] = LaurentMatrix.unit(d, i - 1, i)
-    images[f"e{d}"] = LaurentMatrix.unit(d, d - 1, 0, LaurentPoly.t())
+    images = {v: LaurentMatrix.unit(d, i, i) for i, v in enumerate(g.vertices)}
+    for i, e in enumerate(g.edges[:-1]):
+        images[e.name] = LaurentMatrix.unit(d, i, i + 1)
+    images[g.edges[-1].name] = LaurentMatrix.unit(d, d - 1, 0, LaurentPoly.t())
     return CycleModel(d, g, images)
 
 
@@ -377,24 +375,21 @@ def verify_cycle_iso(d: int) -> CycleIsoReport:
             raise RelationFailure(f"cycle model d={d}: {what}")
         checks += 1
 
-    vs = [f"v{i}" for i in range(1, d + 1)]
-    es = [f"e{i}" for i in range(1, d + 1)]
-    for a in vs:
-        for b in vs:
+    for a in g.vertices:
+        for b in g.vertices:
             prod = model.images[a] * model.images[b]
             expect = model.images[a] if a == b else LaurentMatrix.zero(d)
             want(prod == expect, f"vertex product {a}*{b}")
-    for name in es:
-        e = g.edge_map[name]
-        img = model.images[name]
-        want(model.images[e.source] * img == img, f"s(e)e for {name}")
-        want(img * model.images[e.target] == img, f"er(e) for {name}")
-    for a in es:
-        for b in es:
-            prod = model.images[a].star() * model.images[b]
-            expect = model.images[g.edge_map[a].target] if a == b else LaurentMatrix.zero(d)
-            want(prod == expect, f"e^*f for {a},{b}")
-    for v in vs:
+    for e in g.edges:
+        img = model.images[e.name]
+        want(model.images[e.source] * img == img, f"s(e)e for {e.name}")
+        want(img * model.images[e.target] == img, f"er(e) for {e.name}")
+    for a in g.edges:
+        for b in g.edges:
+            prod = model.images[a.name].star() * model.images[b.name]
+            expect = model.images[a.target] if a == b else LaurentMatrix.zero(d)
+            want(prod == expect, f"e^*f for {a.name},{b.name}")
+    for v in g.vertices:
         total = LaurentMatrix.zero(d)
         for e in g.out_edges(v):
             total = total + model.images[e.name] * model.images[e.name].star()

@@ -19,12 +19,13 @@ first nonzero bracket and the containment probe all read that pass, and the
 evidence bundle takes its rank, its witness and its probe from a single run
 of it, at every truncation.
 
-The pass runs on algebra's integer core.  A generator is the pair of ids of
-m and m^* in a MonomialTable made for the call, a bracket is an int vector
-over ids (_generator_bracket), and the vectors go into fraction-free
-RowSpaces on the same table, as do the rows of the ideal slice that the
-containment probe tests them against.  Elements are built only for what is
-returned: the witness and the reduced rows of bracket_space.
+The generators and the pass run on algebra's integer core.  A generator
+m - m^* is the id of m in a MonomialTable made for the call
+(_generator_ids), a bracket is an int vector over ids
+(_generator_bracket), and the vectors go into fraction-free RowSpaces on
+the same table, as do the rows of the ideal slice that the containment
+probe tests them against.  Elements are built only for what is returned:
+skew_basis's list, the witness and the reduced rows of bracket_space.
 
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .algebra import (
@@ -46,7 +46,6 @@ from .algebra import (
     dimension,
     edge_element,
     edge_star_element,
-    monomial_key,
     vertex_element,
     zero,
     _ideal_space,
@@ -85,6 +84,20 @@ def bracket(a: Element, b: Element) -> Element:
     return a * b - b * a
 
 
+def _generator_ids(table: MonomialTable, n: int) -> list[int]:
+    """The ids k of the basis monomials of degree <= n with k < star(k), in
+    id order: one m of each star-orbit {m, m^*} with m != m^*, the smaller
+    one.  Id order is monomial_key order (see MonomialTable), so this lists
+    generators by degree."""
+    ks = map(table.intern, basis_monomials(table.graph, n))
+    return [k for k in ks if k < table.star(k)]
+
+
+def _generator(table: MonomialTable, k: int) -> Element:
+    """The skew generator m - m^* for the id k of m."""
+    return table.element({k: 1, table.star(k): -1})
+
+
 def skew_basis(g: Graph, n: int) -> list[Element]:
     """Basis of the degree-<=n slice of the skew elements.
 
@@ -92,13 +105,8 @@ def skew_basis(g: Graph, n: int) -> list[Element]:
     m - m^* over the orbits {m, m^*} with m != m^*; each orbit is keyed by
     its canonically smaller member and listed in canonical order.
     """
-    out = []
-    for m in basis_monomials(g, n):
-        ms = m.star()
-        if m.p == m.q or monomial_key(ms) < monomial_key(m):
-            continue
-        out.append(Element(g, {m: Fraction(1), ms: Fraction(-1)}))
-    return out
+    table = MonomialTable(g)
+    return [_generator(table, k) for k in _generator_ids(table, n)]
 
 
 @dataclass(frozen=True)
@@ -170,27 +178,23 @@ def _partners(ends: list[tuple[tuple, tuple]]) -> Callable[[int], list[int]]:
     return partners
 
 
-def _brackets(table: MonomialTable, gens: list[Element]) -> Iterator[tuple[int, int, dict[int, int]]]:
+def _brackets(table: MonomialTable, gens: list[int]) -> Iterator[tuple[int, int, dict[int, int]]]:
     """Every pair gens[i], gens[j] with i < j whose commutator can be
     nonzero, and the id vector of that commutator, each once, ordered by
     total degree, then i, then j.
 
-    skew_basis lists generators by degree, so the pairs of total degree t
-    are each i of degree a <= t/2 against the j > i of degree t - a.  A
-    product p q^* . r s^* vanishes unless q and r meet (_raw_mul), so the
-    four raw products of a pair all vanish, and its bracket is 0, unless the
-    two generators have ends that meet; only the pairs from _partners are
-    evaluated.
+    The generators are ids from _generator_ids, listed by degree, so the
+    pairs of total degree t are each i of degree a <= t/2 against the j > i
+    of degree t - a.  A product p q^* . r s^* vanishes unless q and r meet
+    (_raw_mul), so the four raw products of a pair all vanish, and its
+    bracket is 0, unless the two generators have ends that meet; only the
+    pairs from _partners are evaluated.
     """
-    ids = []
-    ends = []
-    for x in gens:
-        m, ms = sorted(x.terms, key=x.terms.__getitem__, reverse=True)
-        ids.append((table.intern(m), table.intern(ms)))
-        ends.append(((m.p.source,) + m.p.edges, (m.q.source,) + m.q.edges))
+    ends = [table._paths[k] for k in gens]
     meets = _partners(ends)
+    ids = [(k, table.star(k)) for k in gens]
     partners: list[list[int] | None] = [None] * len(gens)  # filled as reached
-    degs = [x.degree() for x in gens]
+    degs = [len(p) + len(q) - 2 for p, q in ends]
     for t in range(2 * max(degs, default=0) + 1):
         for i, a in enumerate(degs):
             if 2 * a > t:
@@ -204,23 +208,27 @@ def _brackets(table: MonomialTable, gens: list[Element]) -> Iterator[tuple[int, 
                 yield i, j, _generator_bracket(table, ids[i], ids[j])
 
 
+def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> BracketWitness:
+    return BracketWitness(_generator(table, a), _generator(table, b), table.element(vec))
+
+
 def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketWitness | None, RowSpace]:
     """All brackets of the degree-<=n skew slice in one RowSpace, and the
     first nonzero one; the brackets of the degree-<=probe slice in a second
     RowSpace, which is the first one itself when both slices have the same
     generators.
 
-    Both slices are prefixes of skew_basis(g, max(n, probe)), which lists
-    generators by degree, so one walk over its pairs serves both: a pair
-    belongs to a slice when its j is below that slice's generator count.
-    Filtering keeps the order of total degree, then i, then j, so each
-    RowSpace and the witness are those of a pass over the slice alone.  Both
-    RowSpaces share one MonomialTable.
+    Each slice's generators are a prefix of the larger slice's, which
+    _generator_ids lists by degree, so one walk over its pairs serves both: a
+    pair belongs to a slice when its j is below that slice's generator
+    count.  Filtering keeps the order of total degree, then i, then j, so
+    each RowSpace and the witness are those of a pass over the slice alone.
+    Both RowSpaces share one MonomialTable.
     """
     table = MonomialTable(g)
-    gens = skew_basis(g, max(n, probe))
-    degs = [x.degree() for x in gens]
-    main_gens, low_gens = bisect_right(degs, n), bisect_right(degs, probe)
+    main, low_ids = _generator_ids(table, n), _generator_ids(table, probe)
+    gens = max(main, low_ids, key=len)
+    main_gens, low_gens = len(main), len(low_ids)
     space = RowSpace(table)
     low = space if low_gens == main_gens else RowSpace(table)
     witness = None
@@ -229,7 +237,7 @@ def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketW
             continue
         if j < main_gens:  # and so i < main_gens
             if witness is None:
-                witness = BracketWitness(gens[i], gens[j], table.element(vec))
+                witness = _witness(table, gens[i], gens[j], vec)
             space.add(vec)
         if low is not space and j < low_gens:
             low.add(vec)
@@ -247,10 +255,10 @@ def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
     """The first nonvanishing commutator of skew generators, trying pairs of
     lowest total degree first."""
     table = MonomialTable(g)
-    gens = skew_basis(g, n)
+    gens = _generator_ids(table, n)
     for i, j, vec in _brackets(table, gens):
         if vec:
-            return BracketWitness(gens[i], gens[j], table.element(vec))
+            return _witness(table, gens[i], gens[j], vec)
     return None
 
 

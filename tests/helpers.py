@@ -555,6 +555,18 @@ def laurent_mul_zero_start(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(out)
 
 
+def skew_basis_by_key(g: Graph, n: int) -> list[Element]:
+    """The skew generators as skew_basis once built them: m - m^* for each
+    basis monomial m != m^* that comes first in monomial_key order."""
+    out = []
+    for m in basis_monomials(g, n):
+        ms = m.star()
+        if m.p == m.q or monomial_key(ms) < monomial_key(m):
+            continue
+        out.append(Element(g, {m: Fraction(1), ms: Fraction(-1)}))
+    return out
+
+
 def ends_meet(x: Element, y: Element) -> bool:
     """Whether an end of skew generator x meets an end of y: a path p or q of
     x's monomials p q^* is a prefix of a path of y's, or the other way

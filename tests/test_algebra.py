@@ -7,12 +7,13 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     FractionRowSpace,
     acyclic_multigraphs,
+    build,
     cycles_oracle,
     dimension_oracle,
     element_mul_all_pairs,
@@ -385,6 +386,31 @@ def test_basis_monomials_sorted_and_unique(corpus):
         keys = [monomial_key(m) for m in ms]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+def _assert_ids_follow_monomial_key(g, n) -> None:
+    """MonomialTable ids list the basis monomials in monomial_key order, and
+    k < star(k) exactly when m comes before m^* in that order."""
+    table = MonomialTable(g)
+    ms = basis_monomials(g, n)
+    ids = [table.intern(m) for m in ms]
+    assert all(a < b for a, b in zip(ids, ids[1:])), (g, n)
+    for m, k in zip(ms, ids):
+        assert (k < table.star(k)) == (monomial_key(m) < monomial_key(m.star())), (g, n, str(m))
+
+
+def test_table_ids_follow_monomial_key_on_the_corpus(corpus):
+    for g in corpus.values():
+        for n in range(5):
+            _assert_ids_follow_monomial_key(g, n)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=4, max_edges=5), st.integers(0, 4))
+@example(build(["v"]), 4)  # no edge, so the base B is 2
+@example(build(["b", "d"], [("a", "b", "d"), ("c", "d", "b"), ("e", "b", "b")]), 4)  # a < b < c < d < e
+def test_table_ids_follow_monomial_key(g, n):
+    _assert_ids_follow_monomial_key(g, n)
 
 
 def test_dimension_frozen_values(corpus):

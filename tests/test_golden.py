@@ -10,9 +10,10 @@ import hashlib
 
 import pytest
 
-from helpers import CORPUS
+from helpers import CORPUS, corpus_names, load
 
 from lpakit.cli import main
+from lpakit.graph import condensation
 
 CORPUS_JSON_T4 = "baf19874338db122dbd499bf3bb1d249557c3cb2202be6385b8e420572b3371e"
 CORPUS_TEXT_NO_EVIDENCE = "3ea0624cb95fc5bcca60d28af389d1dd1240caf94873039b5c15f9ff3ba178ef"
@@ -20,6 +21,8 @@ INSPECT_JSON = "58cfee232f2382a303733fbf493a9a765329e150560537d96c0ab2b99ea55112
 INSPECT_TEXT = "12d49a23dc2d42f33e7a43e8d96fb89c7df487a17a9909c7c75ea2ba2e3d6d16"
 CORPUS_WITNESS_JSON_T1 = "5c475734a65d59ae72c37c911b34284890637413b6c355a81218b8f4e8bf791b"
 CORPUS_WITNESS_TEXT_T3 = "cb92cce58eaacb1575562a3bddd3bb3f5c6285cf1c411ba7f58871704c9e6ad3"
+ALGEBRA_TEXT = "cbe6763ad2e3978a3a6d9472eea6ba8e9d6f1110452600506012149399b0403f"
+ALGEBRA_JSON = "1dec058b1c90ba1b58f09128890fe78241119e20edd7fda8a92fb5762cdf0917"
 
 
 @pytest.fixture
@@ -72,3 +75,25 @@ def test_inspect_every_corpus_graph_json(stdout_sha256):
 def test_inspect_every_corpus_graph_text(stdout_sha256):
     argvs = [["inspect", f] for f in _corpus_files()]
     assert stdout_sha256(*argvs) == INSPECT_TEXT
+
+
+def _algebra_argvs() -> list[list[str]]:
+    """skew-dim and bracket-dim at truncation 3 on every corpus file, dim on
+    every acyclic one, the 2x2 check on the fiber and the cycle models of
+    sizes 1 to 6."""
+    argvs = []
+    for name in corpus_names():
+        f = f"corpus/{name}.graph"
+        argvs += [["algebra", f, what, "--truncate", "3"] for what in ("skew-dim", "bracket-dim")]
+        if not any(condensation(load(name))[2]):
+            argvs.append(["algebra", f, "dim"])
+    argvs.append(["algebra", "corpus/fiber.graph", "m2-check", "--fiber", "e"])
+    argvs += [["algebra", "corpus/loop.graph", "cycle-check", "--cycle-check", str(d)]
+              for d in range(1, 7)]
+    return argvs
+
+
+@pytest.mark.parametrize("json_flag, want", [([], ALGEBRA_TEXT), (["--json"], ALGEBRA_JSON)],
+                         ids=["text", "json"])
+def test_algebra_every_corpus_graph(stdout_sha256, json_flag, want):
+    assert stdout_sha256(*(argv + json_flag for argv in _algebra_argvs())) == want

@@ -23,6 +23,7 @@ from helpers import (
     random_element,
     random_graph,
     rows_as_elements,
+    skew_basis_by_key,
     span,
 )
 
@@ -79,6 +80,15 @@ def test_skew_basis_spans_the_minus_one_eigenspace(corpus):
             assert is_skew(x)
             assert len(x.support()) == 2
             assert {abs(c) for c in x.terms.values()} == {Fraction(1)}
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=4, max_edges=5), st.integers(0, 4))
+def test_skew_basis_matches_the_key_route(g, n):
+    got, want = skew_basis(g, n), skew_basis_by_key(g, n)
+    assert got == want
+    assert [list(x.terms.items()) for x in got] == [list(x.terms.items()) for x in want]
+    assert [str(x) for x in got] == [str(x) for x in want]
 
 
 def test_skew_basis_of_vanishing_graphs_brackets_to_zero(corpus):
@@ -182,7 +192,7 @@ def _assert_matches_the_element_oracle(g, n) -> None:
     generators is homogeneous of the sum of their grades."""
     table, gens = MonomialTable(g), skew_basis(g, n)
     grades = [_grade(next(iter(x.terms))) for x in gens]  # m and m^* agree
-    for i, j, vec in _brackets(table, gens):
+    for i, j, vec in _brackets(table, _ids_in(table, gens)):
         want = grades[i] ^ grades[j]
         assert all(_grade(table.monomial(k)) == want for k in vec), (i, j)
     space, witness, _ = bracket_pass_oracle(g, n)
@@ -240,11 +250,16 @@ def _count_calls(monkeypatch, calls: Counter, owner, attr: str) -> None:
     monkeypatch.setattr(owner, attr, counted)
 
 
+def _ids_in(table, gens) -> list[int]:
+    """The id in table of each generator's monomial m (coefficient 1), which
+    is how _brackets takes the generator."""
+    return [table.intern(m) for x in gens for m, c in x.terms.items() if c > 0]
+
+
 def _generator_index(g, gens) -> dict[int, int]:
-    """Generator number by the id of its monomial m (coefficient 1), which is
-    the first id of its pair in _brackets; ids do not depend on the table."""
-    table = MonomialTable(g)
-    return {table.intern(m): i for i, x in enumerate(gens) for m, c in x.terms.items() if c > 0}
+    """Generator number by the id of its monomial m; ids do not depend on the
+    table."""
+    return {k: i for i, k in enumerate(_ids_in(MonomialTable(g), gens))}
 
 
 def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
@@ -284,8 +299,9 @@ def _assert_skipped_pairs_vanish(g, n) -> int:
     """Every generator pair that _brackets skips has four raw products that
     vanish, so its bracket is 0; returns the number of pairs skipped."""
     table, gens = MonomialTable(g), skew_basis(g, n)
-    evaluated = {(i, j) for i, j, _ in _brackets(table, gens)}
-    ids = {i: (k, table.star(k)) for k, i in _generator_index(g, gens).items()}
+    ks = _ids_in(table, gens)
+    evaluated = {(i, j) for i, j, _ in _brackets(table, ks)}
+    ids = [(k, table.star(k)) for k in ks]
     skipped = 0
     for i, j in itertools.combinations(range(len(gens)), 2):
         if (i, j) not in evaluated:
