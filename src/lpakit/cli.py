@@ -24,7 +24,7 @@ from itertools import repeat
 from json.encoder import encode_basestring_ascii as encode_str
 from pathlib import Path as FsPath
 
-from .algebra import AlgebraError, GraphHasCycle, dimension
+from .algebra import AlgebraError, GraphHasCycle, MonomialTable, dimension
 from .classify import (
     ClassifyError,
     GraphTooLarge,
@@ -45,10 +45,10 @@ from .skew import (  # noqa: F401
     SkewError,
     TableMismatch,
     _bracket_pass,
+    _generator_ids,
     bracket_space,
     fiber_m2_iso,
     lie_simplicity_evidence,
-    skew_basis,
 )
 
 DEFAULT_TRUNCATE = 4
@@ -379,7 +379,7 @@ def cmd_algebra(args) -> int:
             return 2
     elif what == "skew-dim":
         report["truncation"] = n
-        report["skew_dimension"] = len(skew_basis(g, n))
+        report["skew_dimension"] = len(_generator_ids(MonomialTable(g), n))
     elif what == "bracket-dim":
         report["truncation"] = n
         # the rank of the pass's RowSpace, without reducing its rows

@@ -21,11 +21,14 @@ of it, at every truncation.
 
 The generators and the pass run on algebra's integer core.  A generator
 m - m^* is the id of m in a MonomialTable made for the call
-(_generator_ids), a bracket is an int vector over ids
-(_generator_bracket), and the vectors go into fraction-free RowSpaces on
-the same table, as do the rows of the ideal slice that the containment
-probe tests them against.  Elements are built only for what is returned:
-skew_basis's list, the witness and the reduced rows of bracket_space.
+(_generator_ids).  A bracket is an int vector in skew coordinates: its
+entry c at an id k < star(k) stands for c (k - k^*) (_generator_bracket).
+The vectors go into fraction-free RowSpaces on the same table.  Taking
+them to monomial ids (_monomial_ids) is linear, injective and keeps each
+vector's least id, so it keeps ranks and pivots; it is done only where a
+vector leaves the pass: the witness, the containment probe and
+bracket_space.  Elements are built only for what is returned: skew_basis's
+list, the witness and the reduced rows of bracket_space.
 
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
@@ -94,8 +97,8 @@ def _generator_ids(table: MonomialTable, n: int) -> list[int]:
 
 
 def _generator(table: MonomialTable, k: int) -> Element:
-    """The skew generator m - m^* for the id k of m."""
-    return table.element({k: 1, table.star(k): -1})
+    """The skew generator m - m^* for the id k of m: {k: 1} in skew coordinates."""
+    return table.element(_monomial_ids(table, {k: 1}))
 
 
 def skew_basis(g: Graph, n: int) -> list[Element]:
@@ -127,11 +130,13 @@ class BracketWitness:
 
 
 def _generator_bracket(table: MonomialTable, x: tuple[int, int], y: tuple[int, int]) -> dict[int, int]:
-    """[m - m^*, n - n^*] as an id vector, for x = (m, m^*) and y = (n, n^*).
+    """[m - m^*, n - n^*] in skew coordinates, for x = (m, m^*) and
+    y = (n, n^*): the coefficient of k - k^* at each id k < star(k).
 
     Both generators are skew, so yx = (xy)^* and [x, y] = xy - (xy)^*: the
-    four raw monomial products of xy, summed with their signs, and their
-    stars.
+    four raw monomial products of xy, summed with their signs, less their
+    stars.  A term c k gives c (k - k^*) = -c (k^* - k), folded onto the
+    lower id; a self-adjoint k cancels.
     """
     (a, sa), (b, sb) = x, y
     product, star = table.product, table.star
@@ -140,11 +145,19 @@ def _generator_bracket(table: MonomialTable, x: tuple[int, int], y: tuple[int, i
         nf = product(u, v)
         if nf:
             for k, c in nf.items():
-                c *= sign
-                acc[k] = acc.get(k, 0) + c
-                k = star(k)
-                acc[k] = acc.get(k, 0) - c
+                ks = star(k)
+                if k < ks:
+                    acc[k] = acc.get(k, 0) + sign * c
+                elif ks < k:
+                    acc[ks] = acc.get(ks, 0) - sign * c
     return {k: c for k, c in acc.items() if c}
+
+
+def _monomial_ids(table: MonomialTable, vec: dict[int, int]) -> dict[int, int]:
+    """A skew-coordinate vector as an id vector, {k: c, star(k): -c} for
+    each entry, in increasing id order."""
+    star = table.star
+    return dict(sorted([*vec.items(), *((star(k), -c) for k, c in vec.items())]))
 
 
 def _partners(ends: list[tuple[tuple, tuple]]) -> Callable[[int], list[int]]:
@@ -180,7 +193,7 @@ def _partners(ends: list[tuple[tuple, tuple]]) -> Callable[[int], list[int]]:
 
 def _brackets(table: MonomialTable, gens: list[int]) -> Iterator[tuple[int, int, dict[int, int]]]:
     """Every pair gens[i], gens[j] with i < j whose commutator can be
-    nonzero, and the id vector of that commutator, each once, ordered by
+    nonzero, and that commutator in skew coordinates, each once, ordered by
     total degree, then i, then j.
 
     The generators are ids from _generator_ids, listed by degree, so the
@@ -209,7 +222,8 @@ def _brackets(table: MonomialTable, gens: list[int]) -> Iterator[tuple[int, int,
 
 
 def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> BracketWitness:
-    return BracketWitness(_generator(table, a), _generator(table, b), table.element(vec))
+    value = table.element(_monomial_ids(table, vec))
+    return BracketWitness(_generator(table, a), _generator(table, b), value)
 
 
 def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketWitness | None, RowSpace]:
@@ -245,10 +259,14 @@ def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketW
 
 
 def bracket_space(g: Graph, n: int) -> BracketSpace:
-    """Row-reduced span of all pairwise brackets of the skew slice."""
+    """Row-reduced span of all pairwise brackets of the skew slice.
+
+    _monomial_ids keeps each pivot row's pivot, gcd and positive lead, so the
+    pass's pivot rows become pivot rows of the span in monomial ids."""
     space = _bracket_pass(g, n)[0]
-    rows = tuple(Element(g, row) for row in space.reduced_rows())
-    return BracketSpace(n, rows)
+    full = RowSpace(space.table)
+    full.pivots = {k: _monomial_ids(space.table, row) for k, row in space.pivots.items()}
+    return BracketSpace(n, tuple(Element(g, row) for row in full.reduced_rows()))
 
 
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
@@ -344,11 +362,12 @@ def _containment(core: list[str], brackets: RowSpace, n: int, slack: int) -> Con
     """bracket_in_ideal for a core known to be the classifier's, which is
     hereditary: fiber units and balloons receive no edge from it, and for
     the brackets of the degree-<=n skew slice.  The pivot rows span the
-    bracket space, so they are tested without reducing them, and the ideal's
-    rows are built on the brackets' MonomialTable, so both are keyed by the
-    same ids."""
-    ideal = _ideal_space(brackets.table, core, n + slack)
-    ok = all(ideal.contains(row) for row in brackets.pivots.values())
+    bracket space, so they are tested without reducing them, in monomial
+    ids as the ideal's rows are; those are built on the brackets'
+    MonomialTable, so both are keyed by the same ids."""
+    table = brackets.table
+    ideal = _ideal_space(table, core, n + slack)
+    ok = all(ideal.contains(_monomial_ids(table, row)) for row in brackets.pivots.values())
     return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
 
 

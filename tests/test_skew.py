@@ -51,6 +51,7 @@ from lpakit.skew import (
     skew_basis,
     skew_part,
     _brackets,
+    _monomial_ids,
 )
 
 
@@ -187,12 +188,18 @@ def _grade(m) -> frozenset:
 
 def _assert_matches_the_element_oracle(g, n) -> None:
     """The integer kernel against the Element and Fraction routes it
-    replaced: rank, witness and containment of the evidence bundle, the
-    reduced bracket space and an ideal slice.  Also, every bracket of two
-    generators is homogeneous of the sum of their grades."""
+    replaced: each bracket, rank, witness and containment of the evidence
+    bundle, the reduced bracket space and an ideal slice.  Every bracket of
+    two generators is keyed by lower ids k < star(k) only, taken to
+    monomial ids it is the Element bracket, in increasing id order, and it
+    is homogeneous of the sum of their grades."""
     table, gens = MonomialTable(g), skew_basis(g, n)
     grades = [_grade(next(iter(x.terms))) for x in gens]  # m and m^* agree
     for i, j, vec in _brackets(table, _ids_in(table, gens)):
+        assert all(k < table.star(k) for k in vec), (i, j)
+        ids = _monomial_ids(table, vec)
+        assert ids == {table.intern(m): c for m, c in bracket(gens[i], gens[j]).terms.items()}, (i, j)
+        assert list(ids) == sorted(ids), (i, j)
         want = grades[i] ^ grades[j]
         assert all(_grade(table.monomial(k)) == want for k in vec), (i, j)
     space, witness, _ = bracket_pass_oracle(g, n)
@@ -202,7 +209,9 @@ def _assert_matches_the_element_oracle(g, n) -> None:
     cls = bundle.classification
     want = containment_oracle(g, list(cls.core), 2, 2) if cls.almost_simple else None
     assert bundle.ideal_containment == want
-    assert bracket_space(g, n).basis == rows_as_elements(g, space)
+    basis = bracket_space(g, n).basis
+    assert basis == rows_as_elements(g, space)
+    assert all(list(x.terms) == sorted(x.terms, key=monomial_key) for x in basis)
     ws = hereditary_closure(g, [g.vertices[0]])
     assert ideal_span(g, ws, n) == list(rows_as_elements(g, ideal_space_oracle(g, ws, n)))
 
@@ -401,9 +410,22 @@ def test_fiber_m2_detects_broken_tables(fiber, monkeypatch):
 # -- ideal containment and evidence -----------------------------------------------------
 
 
-def test_bracket_in_ideal_on_positive_graphs(corpus):
+def test_bracket_in_ideal_on_positive_graphs(corpus, monkeypatch):
     from lpakit.classify import classify
 
+    # The ideal slice's rows are in monomial ids, so the brackets tested
+    # against it must be too: skew there, each entry c at k matched by -c at
+    # star(k).  Only the tested vectors show it, because each row of the
+    # slice lies among the ids below star, above it or fixed by it, so a
+    # bracket and its skew coordinates lie in the slice together.
+    tested = []
+    contains = RowSpace.contains
+
+    def recorded(self, vec):
+        tested.append((self.table, vec))
+        return contains(self, vec)
+
+    monkeypatch.setattr(RowSpace, "contains", recorded)
     for name in ("toeplitz", "two_balloons", "balloon_core2", "double_edge_cycle"):
         g = corpus[name]
         cls = classify(g)
@@ -411,6 +433,9 @@ def test_bracket_in_ideal_on_positive_graphs(corpus):
         assert rep.contained, name
         assert rep.truncation == 2 and rep.slack == 2
         assert rep.bracket_dimension <= rep.ideal_rank
+    assert tested
+    for table, vec in tested:
+        assert all(vec.get(table.star(k)) == -c for k, c in vec.items())
 
 
 def test_bracket_in_ideal_rejects_negative_graphs(corpus):
