@@ -382,8 +382,8 @@ def cmd_algebra(args) -> int:
         report["skew_dimension"] = len(_generator_ids(MonomialTable(g), n))
     elif what == "bracket-dim":
         report["truncation"] = n
-        # the rank of the pass's RowSpace, without reducing its rows
-        report["bracket_space_dimension"] = _bracket_pass(g, n)[0].rank
+        # the sum of the ranks of the pass's buckets, without reducing rows
+        report["bracket_space_dimension"] = _bracket_pass(g, n)[0]
     elif what == "m2-check":
         if args.fiber is None:
             print("m2-check needs --fiber EDGE", file=sys.stderr)

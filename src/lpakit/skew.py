@@ -13,22 +13,28 @@ pictures of the commutator space [K, K]:
   an almost-simple decomposition,
 * the 2x2 matrix-unit model carried by a fiber.
 
-Every commutator of skew generators comes from one pass, _brackets, which
-evaluates each pair once in order of total degree.  The bracket space, the
-first nonzero bracket and the containment probe all read that pass, and the
-evidence bundle takes its rank, its witness and its probe from a single run
-of it, at every truncation.
+Every commutator of skew generators that the bracket space, the evidence
+bundle and the containment probe read comes from one pass, _bracket_pass,
+which evaluates each pair whose ends meet once.  The evidence bundle takes
+its rank, its witness and its probe from a single run of it, at every
+truncation.  first_nonzero_bracket walks the same pairs by total degree
+(_brackets) and stops at the first nonzero one.
 
 The generators and the pass run on algebra's integer core.  A generator
 m - m^* is the id of m in a MonomialTable made for the call
 (_generator_ids).  A bracket is an int vector in skew coordinates: its
 entry c at an id k < star(k) stands for c (k - k^*) (_generator_bracket).
-The vectors go into fraction-free RowSpaces on the same table.  Taking
-them to monomial ids (_monomial_ids) is linear, injective and keeps each
-vector's least id, so it keeps ranks and pivots; it is done only where a
-vector leaves the pass: the witness, the containment probe and
-bracket_space.  Elements are built only for what is returned: skew_basis's
-list, the witness and the reduced rows of bracket_space.
+The algebra is graded mod 2 by the vertices and edges (_grades), a bracket
+is homogeneous, and brackets of different grades have disjoint supports.
+So the pass walks the pairs a bucket of whole grades at a time, each on a
+MonomialTable and a fraction-free RowSpace of its own that are dropped
+when the bucket is done: it holds the products and rows of one bucket, not
+of the whole slice, and ranks add up over the buckets.  Taking vectors to
+monomial ids (_monomial_ids) is linear, injective and keeps each vector's
+least id, so it keeps ranks and pivots; it is done only where a vector
+leaves the pass: the witness, the containment probe and bracket_space.
+Elements are built only for what is returned: skew_basis's list, the
+witness and the reduced rows of bracket_space.
 
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
@@ -38,6 +44,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .algebra import (
@@ -160,16 +168,43 @@ def _monomial_ids(table: MonomialTable, vec: dict[int, int]) -> dict[int, int]:
     return dict(sorted([*vec.items(), *((star(k), -c) for k, c in vec.items())]))
 
 
-def _partners(ends: list[tuple[tuple, tuple]]) -> Callable[[int], list[int]]:
+def _grades(g: Graph, ends: list[tuple[tuple, tuple]]) -> list[int]:
+    """The grade of each generator m - m^*, given the ends p, q of
+    m = p q^*: s(p), s(q) and each edge of p and q, counted mod 2, as an
+    int with bit b for the b-th name of the graph's vertices, then its edges
+    (names are pairwise distinct).
+
+    This grades L(g) mod 2, in the way the path length gives its Z-grading
+    (Abrams, Ara and Siles Molina, Leavitt Path Algebras, ch. 2): every
+    relation is homogeneous, since e e^* and v have grade 0, so a normal
+    form keeps its monomial's grade; m and m^* have the same grade; and a
+    nonzero product p q^* . r s^* has the sum of their grades.  So the
+    bracket of two generators is homogeneous of the sum of their grades.
+    """
+    bit = {name: 1 << b for b, name in enumerate((*g.vertices, *g.edge_map))}
+    grades = []
+    for p, q in ends:
+        grade = bit[p[0]] ^ bit[q[0]]
+        for e in p[1:]:
+            grade ^= bit[e]
+        for e in q[1:]:
+            grade ^= bit[e]
+        grades.append(grade)
+    return grades
+
+
+def _partners(g: Graph, ends: list[tuple[tuple, tuple]]) -> Callable[[int], dict[int, list[int]]]:
     """Given the two ends of each generator, a function that lists, for a
-    generator i, the sorted j > i such that an end of generator j meets an
-    end of generator i.
+    generator i, the j > i such that an end of generator j meets an end of
+    generator i, sorted, in groups keyed by the grade of the pair: the sum
+    of the grades of i and j (_grades), which the pair's bracket has.
 
     The ends of m - m^* with m = p q^* are the paths p and q, as tuples
     (source, *edge names); two paths meet when one is a prefix of the other.
     The index lists, for each path, the generators that have it as an end
     and the generators that have an end beginning with it.
     """
+    grades = _grades(g, ends)
     holders: dict[tuple, list[int]] = {}
     under: dict[tuple, list[int]] = {}
     for i, pair in enumerate(ends):
@@ -180,13 +215,18 @@ def _partners(ends: list[tuple[tuple, tuple]]) -> Callable[[int], list[int]]:
                 if not below or below[-1] != i:  # p and q may share a prefix
                     below.append(i)
 
-    def partners(i: int) -> list[int]:
+    def partners(i: int) -> dict[int, list[int]]:
         js: set[int] = set()
         for e in ends[i]:
             js.update(under[e])
             for n in range(1, len(e)):
                 js.update(holders.get(e[:n], ()))
-        return sorted(j for j in js if j > i)
+        grade = grades[i]
+        groups: dict[int, list[int]] = {}
+        for j in sorted(js):
+            if j > i:
+                groups.setdefault(grade ^ grades[j], []).append(j)
+        return groups
 
     return partners
 
@@ -201,10 +241,10 @@ def _brackets(table: MonomialTable, gens: list[int]) -> Iterator[tuple[int, int,
     of degree t - a.  A product p q^* . r s^* vanishes unless q and r meet
     (_raw_mul), so the four raw products of a pair all vanish, and its
     bracket is 0, unless the two generators have ends that meet; only the
-    pairs from _partners are evaluated.
+    pairs from _partners are evaluated, across all their grades.
     """
     ends = [table._paths[k] for k in gens]
-    meets = _partners(ends)
+    meets = _partners(table.graph, ends)
     ids = [(k, table.star(k)) for k in gens]
     partners: list[list[int] | None] = [None] * len(gens)  # filled as reached
     degs = [len(p) + len(q) - 2 for p, q in ends]
@@ -215,7 +255,7 @@ def _brackets(table: MonomialTable, gens: list[int]) -> Iterator[tuple[int, int,
             b = t - a
             js = partners[i]
             if js is None:
-                js = partners[i] = meets(i)
+                js = partners[i] = sorted(chain.from_iterable(meets(i).values()))
             lo = bisect_left(js, bisect_left(degs, b))
             for j in js[lo:bisect_left(js, bisect_right(degs, b), lo)]:
                 yield i, j, _generator_bracket(table, ids[i], ids[j])
@@ -226,47 +266,117 @@ def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> Brack
     return BracketWitness(_generator(table, a), _generator(table, b), value)
 
 
-def _bracket_pass(g: Graph, n: int, probe: int = -1) -> tuple[RowSpace, BracketWitness | None, RowSpace]:
-    """All brackets of the degree-<=n skew slice in one RowSpace, and the
-    first nonzero one; the brackets of the degree-<=probe slice in a second
-    RowSpace, which is the first one itself when both slices have the same
-    generators.
+def _enter(table: MonomialTable, source: MonomialTable, vec: dict[int, int]) -> None:
+    """Give table the ids of vec, which are source's, so that table.star
+    and table.monomial take them; source is table._fresh() and shares its
+    widths, so the paths of the ids are all that is missing."""
+    paths, entered = source._paths, table._paths
+    for k in vec:
+        entered[k] = paths[k]
+
+
+def _bracket_pass(
+    g: Graph, n: int, probe: int = -1, visit: Callable[[RowSpace], object] | None = None,
+) -> tuple[int, BracketWitness | None, RowSpace | None]:
+    """The rank of the span of all brackets of the degree-<=n skew slice
+    and the first nonzero bracket in the order of _brackets; with probe >= 0
+    also the brackets of the degree-<=probe slice in one RowSpace.
+
+    The pairs are walked a bucket of whole grades (_partners) at a time.
+    Each bucket has a MonomialTable (table._fresh()) and a RowSpace of its
+    own, which visit, when given, sees once the bucket is done; then both
+    are dropped, so the pass holds the products and rows of one bucket at a
+    time.  Brackets of different grades have disjoint supports, so the
+    ranks of the buckets add up to the rank of the span.  Ids are
+    arithmetic codes (MonomialTable), so they agree across tables.  A
+    bucket takes grades until it has as many pairs as there are generators,
+    so that entering every generator's paths in its table costs less than
+    its walk; a grade larger than that is a bucket of its own.
+
+    Within a grade the pairs are walked by i, then j.  The witness is the
+    least (total degree, i, j) over all nonzero brackets, the first one of
+    _brackets; its vector is entered in the generators' table, where the
+    witness is built once the walk is done.
 
     Each slice's generators are a prefix of the larger slice's, which
-    _generator_ids lists by degree, so one walk over its pairs serves both: a
-    pair belongs to a slice when its j is below that slice's generator
-    count.  Filtering keeps the order of total degree, then i, then j, so
-    each RowSpace and the witness are those of a pass over the slice alone.
-    Both RowSpaces share one MonomialTable.
+    _generator_ids lists by degree, so one walk over its pairs serves both:
+    a pair belongs to a slice when its j is below that slice's generator
+    count.  The degree-<=probe RowSpace lives on the generators' table for
+    the whole walk, and the ids of its vectors are entered there, so that
+    its rows can be taken to monomial ids.
     """
     table = MonomialTable(g)
     main, low_ids = _generator_ids(table, n), _generator_ids(table, probe)
     gens = max(main, low_ids, key=len)
     main_gens, low_gens = len(main), len(low_ids)
-    space = RowSpace(table)
-    low = space if low_gens == main_gens else RowSpace(table)
+    ends = [table._paths[k] for k in gens]
+    degs = [len(p) + len(q) - 2 for p, q in ends]
+    meets = _partners(g, ends)
+    # the pairs of each grade as i, j, i, j, ..., keyed by hash(grade): a
+    # collision only puts two grades into one bucket, which buckets allow
+    by_grade: dict[int, list[int]] = {}
+    for i in range(len(gens)):
+        for grade, js in meets(i).items():
+            flat = by_grade.setdefault(hash(grade), [])
+            for j in js:
+                flat += i, j
+    del meets
+    low = RowSpace(table) if probe >= 0 else None
+    rank, best = 0, None
+    ids = [(k, table.star(k)) for k in gens]
+    generator_paths = {k: table._paths[k] for pair in ids for k in pair}
+    while by_grade:
+        # whole grades until the bucket has as many pairs as there are
+        # generators, so that entering every generator costs less than its walk
+        walk: list[int] = []
+        while by_grade and len(walk) < 2 * len(gens):
+            walk += by_grade.popitem()[1]
+        bucket = table._fresh()
+        bucket._paths.update(generator_paths)
+        space = RowSpace(bucket)
+        pairs = iter(walk)
+        for i, j in zip(pairs, pairs):
+            vec = _generator_bracket(bucket, ids[i], ids[j])
+            if not vec:
+                continue
+            if j < main_gens:  # and so i < main_gens
+                key = degs[i] + degs[j], i, j
+                if best is None or key < best[0]:
+                    _enter(table, bucket, vec)
+                    best = key, vec
+                space.add(vec)
+            if low is not None and j < low_gens:
+                _enter(table, bucket, vec)
+                low.add(vec)
+        rank += space.rank
+        if visit is not None:
+            visit(space)
     witness = None
-    for i, j, vec in _brackets(table, gens):
-        if not vec:
-            continue
-        if j < main_gens:  # and so i < main_gens
-            if witness is None:
-                witness = _witness(table, gens[i], gens[j], vec)
-            space.add(vec)
-        if low is not space and j < low_gens:
-            low.add(vec)
-    return space, witness, low
+    if best is not None:
+        (_, i, j), vec = best
+        witness = _witness(table, gens[i], gens[j], vec)
+    return rank, witness, low
 
 
 def bracket_space(g: Graph, n: int) -> BracketSpace:
     """Row-reduced span of all pairwise brackets of the skew slice.
 
-    _monomial_ids keeps each pivot row's pivot, gcd and positive lead, so the
-    pass's pivot rows become pivot rows of the span in monomial ids."""
-    space = _bracket_pass(g, n)[0]
-    full = RowSpace(space.table)
-    full.pivots = {k: _monomial_ids(space.table, row) for k, row in space.pivots.items()}
-    return BracketSpace(n, tuple(Element(g, row) for row in full.reduced_rows()))
+    Each bucket of the pass (_bracket_pass) is reduced on its own table
+    before it is dropped: _monomial_ids keeps each pivot row's pivot, gcd
+    and positive lead, so the bucket's pivot rows become pivot rows of its
+    span in monomial ids, whose reduced rows have the same pivots.  Buckets
+    have disjoint supports, so the reduced rows of all buckets, merged by
+    pivot, are the unique reduced rows of the whole span."""
+    rows: list[tuple[int, dict]] = []
+
+    def reduce(space: RowSpace) -> None:
+        full = RowSpace(space.table)
+        full.pivots = {k: _monomial_ids(space.table, row) for k, row in space.pivots.items()}
+        rows.extend(zip(sorted(full.pivots), full.reduced_rows()))
+
+    _bracket_pass(g, n, visit=reduce)
+    rows.sort(key=itemgetter(0))
+    return BracketSpace(n, tuple(Element(g, row) for _, row in rows))
 
 
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
@@ -347,7 +457,9 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
 
     The bracket space is taken at degree n, the ideal slice at n + slack;
     brackets of degree-n skews reach degree 2n, so callers should keep
-    slack >= n for a conclusive check (the defaults n=2, slack=2 do).
+    slack >= n for a conclusive check (the defaults n=2, slack=2 do).  The
+    ideal slice is built once, and each bucket of the bracket pass is tested
+    against it before the bucket is dropped.
     """
     wlist = list(ws)
     cls = classify(g)
@@ -355,20 +467,22 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
     if set(wlist) != set(cls.core):
         raise NotAlmostSimple(f"core is {list(cls.core)}, not {sorted(set(wlist))}")
-    return _containment(wlist, _bracket_pass(g, n)[0], n, slack)
+    ideal = _ideal_space(MonomialTable(g), wlist, n + slack)
+    contained = []
+    rank = _bracket_pass(g, n, visit=lambda space: contained.append(_containment(ideal, space)))[0]
+    return ContainmentReport(all(contained), rank, ideal.rank, n, slack)
 
 
-def _containment(core: list[str], brackets: RowSpace, n: int, slack: int) -> ContainmentReport:
-    """bracket_in_ideal for a core known to be the classifier's, which is
-    hereditary: fiber units and balloons receive no edge from it, and for
-    the brackets of the degree-<=n skew slice.  The pivot rows span the
-    bracket space, so they are tested without reducing them, in monomial
-    ids as the ideal's rows are; those are built on the brackets'
-    MonomialTable, so both are keyed by the same ids."""
+def _containment(ideal: RowSpace, brackets: RowSpace) -> bool:
+    """Whether the brackets lie in the slice of an ideal, for a slice built
+    by _ideal_space from a core known to be the classifier's, which is
+    hereditary: fiber units and balloons receive no edge from it.  The pivot
+    rows span the brackets, so they are tested without reducing them, in
+    monomial ids as the ideal's rows are.  Ids are arithmetic codes, so the
+    two RowSpaces' tables need not be the same; the brackets' table must
+    hold their ids, which _monomial_ids reads."""
     table = brackets.table
-    ideal = _ideal_space(table, core, n + slack)
-    ok = all(ideal.contains(_monomial_ids(table, row)) for row in brackets.pivots.values())
-    return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
+    return all(ideal.contains(_monomial_ids(table, row)) for row in brackets.pivots.values())
 
 
 @dataclass(frozen=True)
@@ -397,15 +511,16 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
     except GraphHasCycle:
         dim = None
     # the containment probe's degree-2 brackets come from the same pass
-    space, witness, low = _bracket_pass(g, n, 2 if cls.almost_simple else -1)
+    rank, witness, low = _bracket_pass(g, n, 2 if cls.almost_simple else -1)
     containment = None
-    if cls.almost_simple:
-        containment = _containment(list(cls.core), low, 2, 2)
+    if low is not None:
+        ideal = _ideal_space(low.table, cls.core, 2 + 2)
+        containment = ContainmentReport(_containment(ideal, low), low.rank, ideal.rank, 2, 2)
     return EvidenceBundle(
         classification=cls,
         truncation=n,
         algebra_dimension=dim,
-        bracket_space_dimension=space.rank,
+        bracket_space_dimension=rank,
         vanishing_family=is_vanishing_family(g),
         witness=witness,
         ideal_containment=containment,

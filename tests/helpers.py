@@ -31,6 +31,7 @@ from lpakit.algebra import (
     paths_up_to,
     vertex_element,
     zero,
+    _ideal_space,
     _raw_mul,
 )
 from lpakit.classify import (
@@ -57,7 +58,16 @@ from lpakit.graph import (
 )
 from lpakit.graph import Path as GraphPath
 from lpakit.laurent import LaurentPoly
-from lpakit.skew import BracketWitness, ContainmentReport, bracket, skew_basis
+from lpakit.skew import (
+    BracketWitness,
+    ContainmentReport,
+    bracket,
+    skew_basis,
+    _brackets,
+    _generator_ids,
+    _monomial_ids,
+    _witness,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -693,6 +703,49 @@ def bracket_pass_oracle(g: Graph, n: int, probe: int = -1):
         if w.right.degree() <= probe:
             low.add(w.value.terms)
     return space, witness, low
+
+
+def single_space_bracket_pass(g: Graph, n: int, probe: int = -1):
+    """The bracket pass before it was split by grade: every bracket of the
+    degree-<=n skew slice in one RowSpace on one MonomialTable, and the first
+    nonzero one, taken in the order of _brackets; the brackets of the
+    degree-<=probe slice in a second RowSpace, which is the first one itself
+    when both slices have the same generators."""
+    table = MonomialTable(g)
+    main, low_ids = _generator_ids(table, n), _generator_ids(table, probe)
+    gens = max(main, low_ids, key=len)
+    main_gens, low_gens = len(main), len(low_ids)
+    space = RowSpace(table)
+    low = space if low_gens == main_gens else RowSpace(table)
+    witness = None
+    for i, j, vec in _brackets(table, gens):
+        if not vec:
+            continue
+        if j < main_gens:
+            if witness is None:
+                witness = _witness(table, gens[i], gens[j], vec)
+            space.add(vec)
+        if low is not space and j < low_gens:
+            low.add(vec)
+    return space, witness, low
+
+
+def single_space_bracket_rows(g: Graph, n: int) -> tuple[Element, ...]:
+    """bracket_space's basis from single_space_bracket_pass: the pivot rows
+    taken to monomial ids in one RowSpace and fully reduced there."""
+    space = single_space_bracket_pass(g, n)[0]
+    full = RowSpace(space.table)
+    full.pivots = {k: _monomial_ids(space.table, row) for k, row in space.pivots.items()}
+    return rows_as_elements(g, full)
+
+
+def single_space_containment(core, brackets: RowSpace, n: int, slack: int) -> ContainmentReport:
+    """The containment report for the pivot rows of a single-space pass,
+    against the ideal slice built on the same MonomialTable."""
+    table = brackets.table
+    ideal = _ideal_space(table, core, n + slack)
+    ok = all(ideal.contains(_monomial_ids(table, row)) for row in brackets.pivots.values())
+    return ContainmentReport(ok, brackets.rank, ideal.rank, n, slack)
 
 
 def ideal_space_oracle(g: Graph, ws, n: int) -> FractionRowSpace:

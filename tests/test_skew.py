@@ -1,5 +1,6 @@
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -23,6 +24,9 @@ from helpers import (
     random_element,
     random_graph,
     rows_as_elements,
+    single_space_bracket_pass,
+    single_space_bracket_rows,
+    single_space_containment,
     skew_basis_by_key,
     span,
 )
@@ -50,7 +54,10 @@ from lpakit.skew import (
     lie_simplicity_evidence,
     skew_basis,
     skew_part,
+    _bracket_pass,
     _brackets,
+    _generator_ids,
+    _grades,
     _monomial_ids,
 )
 
@@ -229,6 +236,65 @@ def test_integer_kernel_matches_the_oracle(g, n):
     # 150 generators; the corpus cases above cover slices that large
     assume(len(skew_basis(g, n)) <= 80)
     _assert_matches_the_element_oracle(g, n)
+
+
+def _assert_matches_the_single_space_pass(g, n) -> None:
+    """The bucketed bracket pass against the single-RowSpace pass it
+    replaced: the rank, the witness, the containment reports of the bundle
+    and of bracket_in_ideal, and bracket_space's rows in their term order.
+    Also each generator's grade in src against _grade."""
+    space, witness, _ = single_space_bracket_pass(g, n)
+    assert _bracket_pass(g, n)[0] == space.rank
+    bundle = lie_simplicity_evidence(g, n)
+    assert bundle.bracket_space_dimension == space.rank
+    assert bundle.witness == witness
+    if witness is not None:
+        assert list(bundle.witness.value.terms.items()) == list(witness.value.terms.items())
+    cls = bundle.classification
+    if cls.almost_simple:
+        core = list(cls.core)
+        low = single_space_bracket_pass(g, n, 2)[2]
+        assert bundle.ideal_containment == single_space_containment(core, low, 2, 2)
+        assert bracket_in_ideal(g, core, n, 2) == single_space_containment(core, space, n, 2)
+    else:
+        assert bundle.ideal_containment is None
+    got, want = bracket_space(g, n).basis, single_space_bracket_rows(g, n)
+    assert [list(x.terms.items()) for x in got] == [list(x.terms.items()) for x in want]
+    table = MonomialTable(g)
+    gens = _generator_ids(table, n)
+    names = [*g.vertices, *g.edge_map]
+    for k, grade in zip(gens, _grades(g, [table._paths[k] for k in gens])):
+        assert {x for b, x in enumerate(names) if grade >> b & 1} == _grade(table.monomial(k))
+
+
+def test_bucketed_pass_matches_the_single_space_pass_on_the_corpus(corpus):
+    for name, g in corpus.items():
+        for n in range(6):
+            _assert_matches_the_single_space_pass(g, n)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=4, max_edges=5), st.integers(0, 3))
+def test_bucketed_pass_matches_the_single_space_pass(g, n):
+    assume(len(skew_basis(g, n)) <= 120)
+    _assert_matches_the_single_space_pass(g, n)
+
+
+def test_bracket_pass_memory_follows_the_largest_bucket(corpus):
+    """On loop_two_exits at n=5 (41 780 meeting pairs in 32 grades, the
+    largest with 4.5% of them) the traced peak of the pass was 15.5 MB with
+    one MonomialTable and one RowSpace for all brackets, and is about
+    1.7 MB with one per bucket of grades.  The 6 MB bound leaves 3.5 times
+    the measured peak and fails the single-space pass by 2.6 times."""
+    g = corpus["loop_two_exits"]
+    tracemalloc.start()
+    try:
+        rank = _bracket_pass(g, 5, 2)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 18_853
+    assert peak < 6_000_000
 
 
 def _bracket_matrix(g, n) -> list[list]:
