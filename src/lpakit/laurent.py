@@ -180,26 +180,38 @@ class VanishingOrderIdeal:
 
 
 class LaurentMatrix:
-    """A square matrix of Laurent polynomials."""
+    """A square matrix of Laurent polynomials, kept as its nonzero entries:
+    `entries` maps (i, j), 0-based, to a nonzero LaurentPoly.  `_keep` is the
+    one place that drops zero entries, and the operators rely on it.  An
+    entry that is not a LaurentPoly raises TypeError."""
 
-    __slots__ = ("dim", "rows")
+    __slots__ = ("dim", "entries")
 
     def __init__(self, rows: Iterable[Iterable[LaurentPoly]]):
-        self.rows: tuple[tuple[LaurentPoly, ...], ...] = tuple(tuple(r) for r in rows)
-        self.dim = len(self.rows)
-        if any(len(r) != self.dim for r in self.rows):
+        rows = [tuple(r) for r in rows]
+        if any(len(r) != len(rows) for r in rows):
             raise InvalidDimension("matrix is not square")
+        for a in (a for r in rows for a in r):
+            if not isinstance(a, LaurentPoly):
+                raise TypeError(f"entries are LaurentPoly, not {type(a).__name__}")
+        self._keep(len(rows), {(i, j): a for i, r in enumerate(rows) for j, a in enumerate(r)})
+
+    def _keep(self, d: int, entries: dict[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
+        self.dim = d
+        self.entries = {ij: a for ij, a in entries.items() if a.coeffs}
+        return self
+
+    @classmethod
+    def _of(cls, d: int, entries: dict[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
+        return cls.__new__(cls)._keep(d, entries)
 
     @classmethod
     def zero(cls, d: int) -> "LaurentMatrix":
-        return cls([[LaurentPoly.zero()] * d for _ in range(d)])
+        return cls._of(d, {})
 
     @classmethod
     def identity(cls, d: int) -> "LaurentMatrix":
-        return cls(
-            [[LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(d)]
-             for i in range(d)]
-        )
+        return cls._of(d, {(i, i): LaurentPoly.one() for i in range(d)})
 
     @classmethod
     def unit(cls, d: int, i: int, j: int, poly: LaurentPoly | None = None) -> "LaurentMatrix":
@@ -216,9 +228,10 @@ class LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         self._same_dim(other)
-        return LaurentMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        out = dict(self.entries)
+        for ij, b in other.entries.items():
+            out[ij] = out[ij] + b if ij in out else b
+        return LaurentMatrix._of(self.dim, out)
 
     def __sub__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if not isinstance(other, LaurentMatrix):
@@ -226,27 +239,22 @@ class LaurentMatrix:
         return self + (-other)
 
     def __neg__(self) -> "LaurentMatrix":
-        return LaurentMatrix([[-a for a in r] for r in self.rows])
+        return LaurentMatrix._of(self.dim, {ij: -a for ij, a in self.entries.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LaurentMatrix([[a * other for a in r] for r in self.rows])
+            return LaurentMatrix._of(self.dim, {ij: a * other for ij, a in self.entries.items()})
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         self._same_dim(other)
-        d = self.dim
-        out = [[LaurentPoly.zero() for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            for k in range(d):
-                a = self.rows[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(d):
-                    b = other.rows[k][j]
-                    if b.is_zero():
-                        continue
-                    out[i][j] = out[i][j] + a * b
-        return LaurentMatrix(out)
+        right_rows: dict[int, list[tuple[int, LaurentPoly]]] = {}
+        for (k, j), b in other.entries.items():
+            right_rows.setdefault(k, []).append((j, b))
+        out: dict[tuple[int, int], LaurentPoly] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in right_rows.get(k, ()):
+                out[i, j] = out[i, j] + a * b if (i, j) in out else a * b
+        return LaurentMatrix._of(self.dim, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -256,24 +264,24 @@ class LaurentMatrix:
     def star(self) -> "LaurentMatrix":
         """Transpose combined with t -> 1/t in every entry: the involution
         matching the path-algebra star under the cycle model."""
-        d = self.dim
-        return LaurentMatrix(
-            [[self.rows[j][i].subs_inverse() for j in range(d)] for i in range(d)]
-        )
+        flipped = {(j, i): a.subs_inverse() for (i, j), a in self.entries.items()}
+        return LaurentMatrix._of(self.dim, flipped)
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.rows for a in r)
+        return not self.entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and self.entries == other.entries
 
     def __hash__(self):
         raise TypeError("matrices are not hashable")
 
     def __repr__(self) -> str:
-        body = "; ".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
+        zero, d = LaurentPoly.zero(), self.dim
+        rows = ([self.entries.get((i, j), zero) for j in range(d)] for i in range(d))
+        body = "; ".join("[" + ", ".join(str(a) for a in r) + "]" for r in rows)
         return f"<LaurentMatrix {body}>"
 
 

@@ -57,7 +57,7 @@ from lpakit.graph import (
     weak_components,
 )
 from lpakit.graph import Path as GraphPath
-from lpakit.laurent import LaurentPoly
+from lpakit.laurent import CycleModel, InvalidDimension, LaurentMatrix, LaurentPoly
 from lpakit.skew import (
     BracketWitness,
     ContainmentReport,
@@ -563,6 +563,109 @@ def laurent_mul_zero_start(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         for k2, c2 in g.coeffs.items():
             out[k1 + k2] = out.get(k1 + k2, 0) + c1 * c2
     return LaurentPoly(out)
+
+
+class DenseLaurentMatrix:
+    """LaurentMatrix as it was before it kept only its nonzero entries: a
+    d x d grid of LaurentPolys, zero entries included."""
+
+    __slots__ = ("dim", "rows")
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(r) for r in rows)
+        self.dim = len(self.rows)
+        if any(len(r) != self.dim for r in self.rows):
+            raise InvalidDimension("matrix is not square")
+
+    @classmethod
+    def zero(cls, d: int) -> "DenseLaurentMatrix":
+        return cls([[LaurentPoly.zero()] * d for _ in range(d)])
+
+    def _same_dim(self, other: "DenseLaurentMatrix") -> None:
+        if self.dim != other.dim:
+            raise InvalidDimension("dimension mismatch")
+
+    def __add__(self, other):
+        if not isinstance(other, DenseLaurentMatrix):
+            return NotImplemented
+        self._same_dim(other)
+        return DenseLaurentMatrix(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other):
+        if not isinstance(other, DenseLaurentMatrix):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return DenseLaurentMatrix([[-a for a in r] for r in self.rows])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return DenseLaurentMatrix([[a * other for a in r] for r in self.rows])
+        if not isinstance(other, DenseLaurentMatrix):
+            return NotImplemented
+        self._same_dim(other)
+        d = self.dim
+        out = [[LaurentPoly.zero() for _ in range(d)] for _ in range(d)]
+        for i in range(d):
+            for k in range(d):
+                a = self.rows[i][k]
+                if a.is_zero():
+                    continue
+                for j in range(d):
+                    b = other.rows[k][j]
+                    if b.is_zero():
+                        continue
+                    out[i][j] = out[i][j] + a * b
+        return DenseLaurentMatrix(out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+    def star(self):
+        d = self.dim
+        return DenseLaurentMatrix(
+            [[self.rows[j][i].subs_inverse() for j in range(d)] for i in range(d)]
+        )
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for r in self.rows for a in r)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DenseLaurentMatrix):
+            return NotImplemented
+        return self.dim == other.dim and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        body = "; ".join("[" + ", ".join(str(a) for a in r) + "]" for r in self.rows)
+        return f"<LaurentMatrix {body}>"
+
+
+def as_dense(m: LaurentMatrix) -> DenseLaurentMatrix:
+    """m written out as a full grid."""
+    d, zero_poly = m.dim, LaurentPoly.zero()
+    return DenseLaurentMatrix([[m.entries.get((i, j), zero_poly) for j in range(d)] for i in range(d)])
+
+
+def image_of_element_dense(model: CycleModel, x: Element) -> DenseLaurentMatrix:
+    """image_of_element on the grids of the model's images, as it ran before
+    LaurentMatrix kept only its nonzero entries."""
+    images = {name: as_dense(m) for name, m in model.images.items()}
+
+    def path_image(path) -> DenseLaurentMatrix:
+        acc = images[path.edges[0] if path.edges else path.source]
+        for name in path.edges[1:]:
+            acc = acc * images[name]
+        return acc
+
+    total = DenseLaurentMatrix.zero(model.d)
+    for m, c in x.terms.items():
+        total = total + (path_image(m.p) * path_image(m.q).star()) * c
+    return total
 
 
 def skew_basis_by_key(g: Graph, n: int) -> list[Element]:

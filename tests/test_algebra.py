@@ -267,6 +267,8 @@ def test_floats_and_foreign_operands_are_rejected(toeplitz):
         lambda: LaurentMatrix.identity(2) - 1,
         lambda: LaurentMatrix.identity(2) * 0.5,
         lambda: 0.5 * LaurentMatrix.identity(2),
+        lambda: LaurentMatrix([[1]]),
+        lambda: LaurentMatrix([[LaurentPoly.one(), 0.5], [LaurentPoly.zero(), LaurentPoly.one()]]),
     ):
         with pytest.raises(TypeError):
             inexact()

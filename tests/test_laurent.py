@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import laurent_mul_zero_start
+from helpers import DenseLaurentMatrix, as_dense, image_of_element_dense, laurent_mul_zero_start
 
 from lpakit.algebra import Element, basis_monomials
 from lpakit.laurent import (
@@ -155,6 +155,58 @@ def test_matrix_star_is_transpose_with_inverted_variable():
     a = LaurentMatrix.unit(2, 0, 0, ONE_MINUS_T)
     b = LaurentMatrix.unit(2, 0, 1, T(3))
     assert (a * b).star() == b.star() * a.star()
+
+
+def test_matrices_store_no_zero_entry():
+    z = LaurentPoly.zero()
+    for d in range(1, 4):
+        assert LaurentMatrix([[z] * d for _ in range(d)]) == LaurentMatrix.zero(d)
+        assert LaurentMatrix.unit(d, 0, d - 1, z).is_zero()
+    m = LaurentMatrix([[T(1), ONE_MINUS_T], [z, T(-2)]])
+    assert (m - m).entries == {}
+    assert (m * 0).entries == {} and (0 * m).entries == {}
+    # row (t, 1) against column (1, -t): the one entry's two terms cancel
+    a = LaurentMatrix([[T(1), T(0)], [z, z]])
+    b = LaurentMatrix([[T(0), z], [-T(1), z]])
+    assert (a * b).entries == {}
+    assert (a * m * b).entries == {(0, 0): T(3) - T(-1)}
+
+
+@st.composite
+def matrix_rows(draw, d: int):
+    """d x d rows of Laurent polynomials, about a third of them zero."""
+    poly = st.one_of(
+        st.just({}),
+        st.dictionaries(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=2), max_size=3),
+    )
+    return [[LaurentPoly(draw(poly)) for _ in range(d)] for _ in range(d)]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_sparse_matrices_agree_with_the_dense_oracle(d, data):
+    rows = data.draw(matrix_rows(d))
+    other = data.draw(st.one_of(st.just(rows), matrix_rows(d)))
+    c = data.draw(st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)))
+    a, b = LaurentMatrix(rows), LaurentMatrix(other)
+    da, db = DenseLaurentMatrix(rows), DenseLaurentMatrix(other)
+    pairs = [
+        (a, da), (b, db), (a + b, da + db), (a - b, da - db), (-a, -da), (a * c, da * c),
+        (c * a, c * da), (a * b, da * db), (b * a, db * da), (a.star(), da.star()),
+    ]
+    for got, want in pairs:
+        assert as_dense(got) == want
+        assert not any(p.is_zero() for p in got.entries.values())
+        assert got.is_zero() == want.is_zero()
+        assert repr(got) == repr(want)
+    for (x, dx), (y, dy) in zip(pairs, pairs[1:] + pairs[:1]):
+        assert (x == y) == (dx == dy)
+
+    model = cycle_iso(d)
+    pool = basis_monomials(model.graph, 3)
+    terms = st.lists(st.tuples(st.sampled_from(pool), st.integers(-4, 4)), max_size=4)
+    x = Element.from_terms(model.graph, data.draw(terms))
+    assert as_dense(image_of_element(model, x)) == image_of_element_dense(model, x)
 
 
 def test_matrix_dimension_mismatch():
