@@ -181,9 +181,9 @@ class VanishingOrderIdeal:
 
 class LaurentMatrix:
     """A square matrix of Laurent polynomials, kept as its nonzero entries:
-    `entries` maps (i, j), 0-based, to a nonzero LaurentPoly.  `_keep` is the
-    one place that drops zero entries, and the operators rely on it.  An
-    entry that is not a LaurentPoly raises TypeError."""
+    `entries` maps (i, j), 0-based, to a nonzero LaurentPoly.  Only `_keep`
+    drops zero entries and rejects a negative dim; the operators rely on it.
+    An entry that is not a LaurentPoly raises TypeError."""
 
     __slots__ = ("dim", "entries")
 
@@ -197,6 +197,8 @@ class LaurentMatrix:
         self._keep(len(rows), {(i, j): a for i, r in enumerate(rows) for j, a in enumerate(r)})
 
     def _keep(self, d: int, entries: dict[tuple[int, int], LaurentPoly]) -> "LaurentMatrix":
+        if d < 0:  # d = 0 is the 0 x 0 matrix, as LaurentMatrix([]) is
+            raise InvalidDimension(f"dimension {d} is negative")
         self.dim = d
         self.entries = {ij: a for ij, a in entries.items() if a.coeffs}
         return self
@@ -215,10 +217,13 @@ class LaurentMatrix:
 
     @classmethod
     def unit(cls, d: int, i: int, j: int, poly: LaurentPoly | None = None) -> "LaurentMatrix":
-        """poly * E_ij with 0-based indices (poly defaults to 1)."""
-        rows = [[LaurentPoly.zero() for _ in range(d)] for _ in range(d)]
-        rows[i][j] = poly if poly is not None else LaurentPoly.one()
-        return cls(rows)
+        """poly * E_ij with 0-based indices 0 <= i, j < d (poly defaults to 1)."""
+        if not (0 <= i < d and 0 <= j < d):
+            raise InvalidDimension(f"E_{i},{j} is not a unit of a {d} x {d} matrix")
+        poly = LaurentPoly.one() if poly is None else poly
+        if not isinstance(poly, LaurentPoly):
+            raise TypeError(f"entries are LaurentPoly, not {type(poly).__name__}")
+        return cls._of(d, {(i, j): poly})
 
     def _same_dim(self, other: "LaurentMatrix") -> None:
         if self.dim != other.dim:

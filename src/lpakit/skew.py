@@ -15,10 +15,10 @@ pictures of the commutator space [K, K]:
 
 Every commutator of skew generators that the bracket space, the evidence
 bundle and the containment probe read comes from one pass, _bracket_pass,
-which evaluates each pair whose ends meet once.  The evidence bundle takes
-its rank, its witness and its probe from a single run of it, at every
-truncation.  first_nonzero_bracket walks the same pairs by total degree
-(_brackets) and stops at the first nonzero one.
+which evaluates each pair whose ends meet once.  Containment is tested in
+one place, _containment: each bucket of the pass against one ideal slice.
+first_nonzero_bracket walks the same pairs by total degree (_brackets) and
+stops at the first nonzero one.
 
 The generators and the pass run on algebra's integer core.  A generator
 m - m^* is the id of m in a MonomialTable made for the call
@@ -266,51 +266,39 @@ def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> Brack
     return BracketWitness(_generator(table, a), _generator(table, b), value)
 
 
-def _enter(table: MonomialTable, source: MonomialTable, vec: dict[int, int]) -> None:
-    """Give table the ids of vec, which are source's, so that table.star
-    and table.monomial take them; source is table._fresh() and shares its
-    widths, so the paths of the ids are all that is missing."""
-    paths, entered = source._paths, table._paths
-    for k in vec:
-        entered[k] = paths[k]
-
-
 def _bracket_pass(
-    g: Graph, n: int, probe: int = -1, visit: Callable[[RowSpace], object] | None = None,
-) -> tuple[int, BracketWitness | None, RowSpace | None]:
+    g: Graph, n: int, probe: int | None = None, visit: Callable[[RowSpace], object] | None = None,
+) -> tuple[int, BracketWitness | None]:
     """The rank of the span of all brackets of the degree-<=n skew slice
-    and the first nonzero bracket in the order of _brackets; with probe >= 0
-    also the brackets of the degree-<=probe slice in one RowSpace.
+    and the first nonzero bracket in the order of _brackets.
 
     The pairs are walked a bucket of whole grades (_partners) at a time.
     Each bucket has a MonomialTable (table._fresh()) and a RowSpace of its
-    own, which visit, when given, sees once the bucket is done; then both
-    are dropped, so the pass holds the products and rows of one bucket at a
-    time.  Brackets of different grades have disjoint supports, so the
-    ranks of the buckets add up to the rank of the span.  Ids are
-    arithmetic codes (MonomialTable), so they agree across tables.  A
-    bucket takes grades until it has as many pairs as there are generators,
-    so that entering every generator's paths in its table costs less than
-    its walk; a grade larger than that is a bucket of its own.
+    own, both dropped when the bucket is done, so the pass holds the
+    products and rows of one bucket at a time.  Brackets of different
+    grades have disjoint supports, so the ranks of the buckets add up to the
+    rank of the span.  Ids are arithmetic codes (MonomialTable), so they
+    agree across tables.  A bucket takes grades until it has as many pairs
+    as there are generators, so that entering every generator's paths in
+    its table costs less than its walk; a grade larger than that is a
+    bucket of its own.
 
     Within a grade the pairs are walked by i, then j.  The witness is the
     least (total degree, i, j) over all nonzero brackets, the first one of
-    _brackets; its vector is entered in the generators' table, where the
-    witness is built once the walk is done.
+    _brackets; the bucket that holds a new least builds it on its table.
 
-    Each slice's generators are a prefix of the larger slice's, which
-    _generator_ids lists by degree, so one walk over its pairs serves both:
-    a pair belongs to a slice when its j is below that slice's generator
-    count.  The degree-<=probe RowSpace lives on the generators' table for
-    the whole walk, and the ids of its vectors are entered there, so that
-    its rows can be taken to monomial ids.
+    visit, when given, sees each bucket's RowSpace of its degree-<=probe
+    brackets (probe defaults to n) once the bucket is done.  The slices'
+    generators are prefixes of one list (_generator_ids lists by degree), so
+    one walk serves both: a pair is in a slice when its j is below that
+    slice's generator count, and one RowSpace serves both when they agree.
     """
+    probe = n if probe is None else probe
     table = MonomialTable(g)
-    main, low_ids = _generator_ids(table, n), _generator_ids(table, probe)
-    gens = max(main, low_ids, key=len)
-    main_gens, low_gens = len(main), len(low_ids)
+    gens = _generator_ids(table, max(n, probe))
     ends = [table._paths[k] for k in gens]
     degs = [len(p) + len(q) - 2 for p, q in ends]
+    main_gens, low_gens = bisect_right(degs, n), bisect_right(degs, probe)
     meets = _partners(g, ends)
     # the pairs of each grade as i, j, i, j, ..., keyed by hash(grade): a
     # collision only puts two grades into one bucket, which buckets allow
@@ -321,8 +309,7 @@ def _bracket_pass(
             for j in js:
                 flat += i, j
     del meets
-    low = RowSpace(table) if probe >= 0 else None
-    rank, best = 0, None
+    rank, best, witness = 0, None, None
     ids = [(k, table.star(k)) for k in gens]
     generator_paths = {k: table._paths[k] for pair in ids for k in pair}
     while by_grade:
@@ -334,6 +321,8 @@ def _bracket_pass(
         bucket = table._fresh()
         bucket._paths.update(generator_paths)
         space = RowSpace(bucket)
+        low = space if low_gens == main_gens else RowSpace(bucket)
+        least = None
         pairs = iter(walk)
         for i, j in zip(pairs, pairs):
             vec = _generator_bracket(bucket, ids[i], ids[j])
@@ -341,21 +330,18 @@ def _bracket_pass(
                 continue
             if j < main_gens:  # and so i < main_gens
                 key = degs[i] + degs[j], i, j
-                if best is None or key < best[0]:
-                    _enter(table, bucket, vec)
-                    best = key, vec
+                if best is None or key < best:
+                    best, least = key, vec
                 space.add(vec)
-            if low is not None and j < low_gens:
-                _enter(table, bucket, vec)
+            if low is not space and j < low_gens:
                 low.add(vec)
+        if least is not None:
+            _, i, j = best
+            witness = _witness(bucket, gens[i], gens[j], least)
         rank += space.rank
         if visit is not None:
-            visit(space)
-    witness = None
-    if best is not None:
-        (_, i, j), vec = best
-        witness = _witness(table, gens[i], gens[j], vec)
-    return rank, witness, low
+            visit(low)
+    return rank, witness
 
 
 def bracket_space(g: Graph, n: int) -> BracketSpace:
@@ -457,9 +443,9 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
 
     The bracket space is taken at degree n, the ideal slice at n + slack;
     brackets of degree-n skews reach degree 2n, so callers should keep
-    slack >= n for a conclusive check (the defaults n=2, slack=2 do).  The
-    ideal slice is built once, and each bucket of the bracket pass is tested
-    against it before the bucket is dropped.
+    slack >= n for a conclusive check (the defaults n=2, slack=2 do).  Each
+    bucket of the bracket pass is tested against one ideal slice before the
+    bucket is dropped (_containment).
     """
     wlist = list(ws)
     cls = classify(g)
@@ -467,22 +453,31 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
     if set(wlist) != set(cls.core):
         raise NotAlmostSimple(f"core is {list(cls.core)}, not {sorted(set(wlist))}")
-    ideal = _ideal_space(MonomialTable(g), wlist, n + slack)
-    contained = []
-    rank = _bracket_pass(g, n, visit=lambda space: contained.append(_containment(ideal, space)))[0]
-    return ContainmentReport(all(contained), rank, ideal.rank, n, slack)
+    return _containment(g, n, wlist, n, slack)[2]
 
 
-def _containment(ideal: RowSpace, brackets: RowSpace) -> bool:
-    """Whether the brackets lie in the slice of an ideal, for a slice built
-    by _ideal_space from a core known to be the classifier's, which is
-    hereditary: fiber units and balloons receive no edge from it.  The pivot
-    rows span the brackets, so they are tested without reducing them, in
-    monomial ids as the ideal's rows are.  Ids are arithmetic codes, so the
-    two RowSpaces' tables need not be the same; the brackets' table must
-    hold their ids, which _monomial_ids reads."""
-    table = brackets.table
-    return all(ideal.contains(_monomial_ids(table, row)) for row in brackets.pivots.values())
+def _containment(
+    g: Graph, n: int, core, probe: int, slack: int,
+) -> tuple[int, BracketWitness | None, ContainmentReport]:
+    """The rank and witness of _bracket_pass(g, n), and whether its
+    degree-<=probe brackets lie in the degree-<=probe+slack slice of the
+    ideal of core, which must be the classifier's and so hereditary.
+
+    The ideal slice is built once.  Each bucket's probe space is tested
+    before the bucket is dropped: its pivot rows span it, so they are
+    tested unreduced, in monomial ids as the ideal's rows are (ids agree
+    across tables), and the buckets' probe ranks add up."""
+    ideal = _ideal_space(MonomialTable(g), core, probe + slack)
+    probe_rank, contained = 0, True
+
+    def test(space: RowSpace) -> None:
+        nonlocal probe_rank, contained
+        probe_rank += space.rank
+        rows = space.pivots.values()
+        contained = contained and all(ideal.contains(_monomial_ids(space.table, r)) for r in rows)
+
+    rank, witness = _bracket_pass(g, n, probe, test)
+    return rank, witness, ContainmentReport(contained, probe_rank, ideal.rank, probe, slack)
 
 
 @dataclass(frozen=True)
@@ -511,11 +506,10 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
     except GraphHasCycle:
         dim = None
     # the containment probe's degree-2 brackets come from the same pass
-    rank, witness, low = _bracket_pass(g, n, 2 if cls.almost_simple else -1)
-    containment = None
-    if low is not None:
-        ideal = _ideal_space(low.table, cls.core, 2 + 2)
-        containment = ContainmentReport(_containment(ideal, low), low.rank, ideal.rank, 2, 2)
+    if cls.almost_simple:
+        rank, witness, containment = _containment(g, n, cls.core, 2, 2)
+    else:
+        (rank, witness), containment = _bracket_pass(g, n), None
     return EvidenceBundle(
         classification=cls,
         truncation=n,

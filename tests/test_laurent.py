@@ -214,6 +214,23 @@ def test_matrix_dimension_mismatch():
         LaurentMatrix.identity(2) * LaurentMatrix.identity(3)
 
 
+def test_matrix_dimension_and_unit_indices_are_checked():
+    for build in (LaurentMatrix.zero, LaurentMatrix.identity, lambda d: LaurentMatrix.unit(d, 0, 0)):
+        with pytest.raises(InvalidDimension):
+            build(-1)
+    empty = LaurentMatrix([])
+    assert LaurentMatrix.zero(0) == LaurentMatrix.identity(0) == empty and empty.dim == 0
+    for i, j in ((-1, 0), (0, -1), (2, 0), (0, 2)):
+        with pytest.raises(InvalidDimension):
+            LaurentMatrix.unit(2, i, j)
+    with pytest.raises(InvalidDimension):
+        LaurentMatrix.unit(0, 0, 0)
+    assert LaurentMatrix.unit(2, 1, 0, T(1)).entries == {(1, 0): T(1)}
+    assert LaurentMatrix.unit(2, 1, 0, LaurentPoly.zero()) == LaurentMatrix.zero(2)
+    with pytest.raises(TypeError):
+        LaurentMatrix.unit(2, 0, 1, 3)
+
+
 # -- skew commutators in the 2x2 model ----------------------------------------------
 
 

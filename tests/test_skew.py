@@ -40,6 +40,7 @@ from lpakit.algebra import (
     monomial_key,
     vertex_element,
     zero,
+    _ideal_space,
 )
 from lpakit.classify import hereditary_closure
 from lpakit.skew import (
@@ -241,7 +242,8 @@ def test_integer_kernel_matches_the_oracle(g, n):
 def _assert_matches_the_single_space_pass(g, n) -> None:
     """The bucketed bracket pass against the single-RowSpace pass it
     replaced: the rank, the witness, the containment reports of the bundle
-    and of bracket_in_ideal, and bracket_space's rows in their term order.
+    and of bracket_in_ideal at slack 2 and at the conclusive slack n, and
+    bracket_space's rows in their term order.
     Also each generator's grade in src against _grade."""
     space, witness, _ = single_space_bracket_pass(g, n)
     assert _bracket_pass(g, n)[0] == space.rank
@@ -256,6 +258,7 @@ def _assert_matches_the_single_space_pass(g, n) -> None:
         low = single_space_bracket_pass(g, n, 2)[2]
         assert bundle.ideal_containment == single_space_containment(core, low, 2, 2)
         assert bracket_in_ideal(g, core, n, 2) == single_space_containment(core, space, n, 2)
+        assert bracket_in_ideal(g, core, n, n) == single_space_containment(core, space, n, n)
     else:
         assert bundle.ideal_containment is None
     got, want = bracket_space(g, n).basis, single_space_bracket_rows(g, n)
@@ -368,6 +371,23 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
             assert pairs == meeting_pairs(gens), (name, n)
             assert calls["classify"] == 1, (name, n)
             assert calls["reduced_rows"] == 0, (name, n)
+
+
+def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
+    # at n = 2 the probe's slice is the bracket slice, so each bracket goes
+    # into one RowSpace, not also into a second probe space: the bundle adds
+    # what the pass and the degree-4 ideal slice add, on toeplitz 6 + 15
+    calls = Counter()
+    _count_calls(monkeypatch, calls, RowSpace, "add")
+    for name, want in (("toeplitz", 21), ("loop_two_exits", 477)):
+        g = corpus[name]
+        calls.clear()
+        core = lie_simplicity_evidence(g, 2).classification.core
+        assert calls["add"] == want, name
+        calls.clear()
+        _bracket_pass(g, 2)
+        _ideal_space(MonomialTable(g), core, 4)
+        assert calls["add"] == want, name
 
 
 def _assert_skipped_pairs_vanish(g, n) -> int:
