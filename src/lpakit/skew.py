@@ -13,12 +13,13 @@ pictures of the commutator space [K, K]:
   an almost-simple decomposition,
 * the 2x2 matrix-unit model carried by a fiber.
 
-Every commutator of skew generators that the bracket space, the evidence
-bundle and the containment probe read comes from one pass, _bracket_pass,
-which evaluates each pair whose ends meet once.  Containment is tested in
-one place, _containment: each bucket of the pass against one ideal slice.
-first_nonzero_bracket walks the same pairs by total degree (_brackets) and
-stops at the first nonzero one.
+One function, _pairs_by_grade, lists the generator pairs whose ends meet,
+the only pairs whose bracket can be nonzero.  Every commutator that the
+bracket space, the evidence bundle and the containment probe read comes
+from one pass over them, _bracket_pass, which evaluates each pair once.
+Containment is tested in one place, _containment: each bucket of the pass
+against one ideal slice.  first_nonzero_bracket sorts the same pairs by
+total degree and stops at the first nonzero one.
 
 The generators and the pass run on algebra's integer core.  A generator
 m - m^* is the id of m in a MonomialTable made for the call
@@ -27,14 +28,15 @@ entry c at an id k < star(k) stands for c (k - k^*) (_generator_bracket).
 The algebra is graded mod 2 by the vertices and edges (_grades), a bracket
 is homogeneous, and brackets of different grades have disjoint supports.
 So the pass walks the pairs a bucket of whole grades at a time, each on a
-MonomialTable and a fraction-free RowSpace of its own that are dropped
+MonomialTable and one fraction-free RowSpace of its own that are dropped
 when the bucket is done: it holds the products and rows of one bucket, not
-of the whole slice, and ranks add up over the buckets.  Taking vectors to
-monomial ids (_monomial_ids) is linear, injective and keeps each vector's
-least id, so it keeps ranks and pivots; it is done only where a vector
-leaves the pass: the witness, the containment probe and bracket_space.
-Elements are built only for what is returned: skew_basis's list, the
-witness and the reduced rows of bracket_space.
+of the whole slice, and ranks add up over the buckets.  A bucket adds the
+smaller of the bracket and probe slices first, so one space serves both.
+Taking vectors to monomial ids (_monomial_ids) is linear, injective and
+keeps each vector's least id, so it keeps ranks and pivots; it is done only
+where a vector leaves the pass: the witness, the containment probe and
+bracket_space.  Elements are built only for what is returned: skew_basis's
+list, the witness and the reduced rows of bracket_space.
 
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
@@ -42,11 +44,10 @@ statement about the full infinite-dimensional algebra.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 from .algebra import (
     Element,
@@ -193,16 +194,18 @@ def _grades(g: Graph, ends: list[tuple[tuple, tuple]]) -> list[int]:
     return grades
 
 
-def _partners(g: Graph, ends: list[tuple[tuple, tuple]]) -> Callable[[int], dict[int, list[int]]]:
-    """Given the two ends of each generator, a function that lists, for a
-    generator i, the j > i such that an end of generator j meets an end of
-    generator i, sorted, in groups keyed by the grade of the pair: the sum
-    of the grades of i and j (_grades), which the pair's bracket has.
+def _pairs_by_grade(g: Graph, ends: list[tuple[tuple, tuple]]) -> dict[int, list[int]]:
+    """Every pair i < j of generators whose ends meet, as flat lists
+    i, j, i, j, ... ordered by i, then j, and keyed by hash(grade) of the
+    pair's grade: the sum of the grades of i and j (_grades), which their
+    bracket has.  A hash collision only puts two grades in one list.
 
-    The ends of m - m^* with m = p q^* are the paths p and q, as tuples
-    (source, *edge names); two paths meet when one is a prefix of the other.
-    The index lists, for each path, the generators that have it as an end
-    and the generators that have an end beginning with it.
+    A product p q^* . r s^* vanishes unless q and r meet (_raw_mul), so a
+    pair whose ends do not meet brackets to 0.  The ends of m - m^* with
+    m = p q^* are the paths p and q, as tuples (source, *edge names); two
+    paths meet when one is a prefix of the other.  The index lists, for each
+    path, the generators that have it as an end and the generators that have
+    an end beginning with it.
     """
     grades = _grades(g, ends)
     holders: dict[tuple, list[int]] = {}
@@ -214,51 +217,17 @@ def _partners(g: Graph, ends: list[tuple[tuple, tuple]]) -> Callable[[int], dict
                 below = under.setdefault(e[:n], [])
                 if not below or below[-1] != i:  # p and q may share a prefix
                     below.append(i)
-
-    def partners(i: int) -> dict[int, list[int]]:
+    by_grade: dict[int, list[int]] = {}
+    for i, (pair, grade) in enumerate(zip(ends, grades)):
         js: set[int] = set()
-        for e in ends[i]:
+        for e in pair:
             js.update(under[e])
             for n in range(1, len(e)):
                 js.update(holders.get(e[:n], ()))
-        grade = grades[i]
-        groups: dict[int, list[int]] = {}
         for j in sorted(js):
             if j > i:
-                groups.setdefault(grade ^ grades[j], []).append(j)
-        return groups
-
-    return partners
-
-
-def _brackets(table: MonomialTable, gens: list[int]) -> Iterator[tuple[int, int, dict[int, int]]]:
-    """Every pair gens[i], gens[j] with i < j whose commutator can be
-    nonzero, and that commutator in skew coordinates, each once, ordered by
-    total degree, then i, then j.
-
-    The generators are ids from _generator_ids, listed by degree, so the
-    pairs of total degree t are each i of degree a <= t/2 against the j > i
-    of degree t - a.  A product p q^* . r s^* vanishes unless q and r meet
-    (_raw_mul), so the four raw products of a pair all vanish, and its
-    bracket is 0, unless the two generators have ends that meet; only the
-    pairs from _partners are evaluated, across all their grades.
-    """
-    ends = [table._paths[k] for k in gens]
-    meets = _partners(table.graph, ends)
-    ids = [(k, table.star(k)) for k in gens]
-    partners: list[list[int] | None] = [None] * len(gens)  # filled as reached
-    degs = [len(p) + len(q) - 2 for p, q in ends]
-    for t in range(2 * max(degs, default=0) + 1):
-        for i, a in enumerate(degs):
-            if 2 * a > t:
-                break
-            b = t - a
-            js = partners[i]
-            if js is None:
-                js = partners[i] = sorted(chain.from_iterable(meets(i).values()))
-            lo = bisect_left(js, bisect_left(degs, b))
-            for j in js[lo:bisect_left(js, bisect_right(degs, b), lo)]:
-                yield i, j, _generator_bracket(table, ids[i], ids[j])
+                by_grade.setdefault(hash(grade ^ grades[j]), []).extend((i, j))
+    return by_grade
 
 
 def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> BracketWitness:
@@ -270,77 +239,65 @@ def _bracket_pass(
     g: Graph, n: int, probe: int | None = None, visit: Callable[[RowSpace], object] | None = None,
 ) -> tuple[int, BracketWitness | None]:
     """The rank of the span of all brackets of the degree-<=n skew slice
-    and the first nonzero bracket in the order of _brackets.
+    and its first nonzero bracket in (total degree, i, j) order.
 
-    The pairs are walked a bucket of whole grades (_partners) at a time.
-    Each bucket has a MonomialTable (table._fresh()) and a RowSpace of its
-    own, both dropped when the bucket is done, so the pass holds the
-    products and rows of one bucket at a time.  Brackets of different
-    grades have disjoint supports, so the ranks of the buckets add up to the
-    rank of the span.  Ids are arithmetic codes (MonomialTable), so they
-    agree across tables.  A bucket takes grades until it has as many pairs
-    as there are generators, so that entering every generator's paths in
-    its table costs less than its walk; a grade larger than that is a
-    bucket of its own.
+    The pairs of _pairs_by_grade are walked a bucket of whole grades at a
+    time, within a grade by i, then j.  Each bucket has a MonomialTable
+    (table._fresh()) and one RowSpace of its own, both dropped when the
+    bucket is done, so the pass holds the products and rows of one bucket at
+    a time.  Brackets of different grades have disjoint supports, so the
+    ranks of the buckets add up to the rank of the span.  Ids are arithmetic
+    codes (MonomialTable), so they agree across tables.  A bucket takes
+    grades until it has as many pairs as there are generators, so that
+    entering every generator's paths in its table costs less than its walk.
+    The bucket that holds a new least witness builds it on its table.
 
-    Within a grade the pairs are walked by i, then j.  The witness is the
-    least (total degree, i, j) over all nonzero brackets, the first one of
-    _brackets; the bucket that holds a new least builds it on its table.
-
-    visit, when given, sees each bucket's RowSpace of its degree-<=probe
-    brackets (probe defaults to n) once the bucket is done.  The slices'
-    generators are prefixes of one list (_generator_ids lists by degree), so
-    one walk serves both: a pair is in a slice when its j is below that
-    slice's generator count, and one RowSpace serves both when they agree.
+    visit, when given, sees each bucket's RowSpace when it spans the
+    bucket's degree-<=probe brackets (probe defaults to n), and reads it
+    then.  The slices' generators are prefixes of one list (_generator_ids
+    lists by degree), and a pair is in a slice when its j is below that
+    slice's generator count.  So a bucket adds the smaller slice's pairs
+    first, then the rest, and its space spans each slice's brackets in turn.
     """
     probe = n if probe is None else probe
     table = MonomialTable(g)
     gens = _generator_ids(table, max(n, probe))
     ends = [table._paths[k] for k in gens]
     degs = [len(p) + len(q) - 2 for p, q in ends]
-    main_gens, low_gens = bisect_right(degs, n), bisect_right(degs, probe)
-    meets = _partners(g, ends)
-    # the pairs of each grade as i, j, i, j, ..., keyed by hash(grade): a
-    # collision only puts two grades into one bucket, which buckets allow
-    by_grade: dict[int, list[int]] = {}
-    for i in range(len(gens)):
-        for grade, js in meets(i).items():
-            flat = by_grade.setdefault(hash(grade), [])
-            for j in js:
-                flat += i, j
-    del meets
+    main_gens, cut = bisect_right(degs, n), bisect_right(degs, min(n, probe))
+    by_grade = _pairs_by_grade(g, ends)
     rank, best, witness = 0, None, None
     ids = [(k, table.star(k)) for k in gens]
     generator_paths = {k: table._paths[k] for pair in ids for k in pair}
     while by_grade:
-        # whole grades until the bucket has as many pairs as there are
-        # generators, so that entering every generator costs less than its walk
         walk: list[int] = []
         while by_grade and len(walk) < 2 * len(gens):
             walk += by_grade.popitem()[1]
         bucket = table._fresh()
         bucket._paths.update(generator_paths)
         space = RowSpace(bucket)
-        low = space if low_gens == main_gens else RowSpace(bucket)
         least = None
-        pairs = iter(walk)
-        for i, j in zip(pairs, pairs):
-            vec = _generator_bracket(bucket, ids[i], ids[j])
-            if not vec:
-                continue
-            if j < main_gens:  # and so i < main_gens
-                key = degs[i] + degs[j], i, j
-                if best is None or key < best:
-                    best, least = key, vec
+        for smaller in (True, False):
+            # no pair is left for the second part when the slices agree
+            pairs = iter(walk if smaller or cut < len(gens) else ())
+            for i, j in zip(pairs, pairs):
+                if (j < cut) != smaller:
+                    continue
+                vec = _generator_bracket(bucket, ids[i], ids[j])
+                if not vec:
+                    continue
+                if j < main_gens:  # and so i < main_gens
+                    key = degs[i] + degs[j], i, j
+                    if best is None or key < best:
+                        best, least = key, vec
                 space.add(vec)
-            if low is not space and j < low_gens:
-                low.add(vec)
+            if (n <= probe) == smaller:
+                rank += space.rank
+            if visit is not None and (probe <= n) == smaller:
+                visit(space)
         if least is not None:
             _, i, j = best
             witness = _witness(bucket, gens[i], gens[j], least)
-        rank += space.rank
-        if visit is not None:
-            visit(low)
     return rank, witness
 
 
@@ -366,13 +323,23 @@ def bracket_space(g: Graph, n: int) -> BracketSpace:
 
 
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
-    """The first nonvanishing commutator of skew generators, trying pairs of
-    lowest total degree first."""
+    """The first nonvanishing commutator of skew generators in (total degree,
+    i, j) order: the pairs of _pairs_by_grade, sorted, evaluated on one table
+    up to the first nonzero one."""
     table = MonomialTable(g)
     gens = _generator_ids(table, n)
-    for i, j, vec in _brackets(table, gens):
+    ends = [table._paths[k] for k in gens]
+    degs = [len(p) + len(q) - 2 for p, q in ends]
+    pairs = sorted(
+        (degs[i] + degs[j], i, j)
+        for flat in _pairs_by_grade(g, ends).values()
+        for i, j in zip(flat[::2], flat[1::2])
+    )
+    for _, i, j in pairs:
+        a, b = gens[i], gens[j]
+        vec = _generator_bracket(table, (a, table.star(a)), (b, table.star(b)))
         if vec:
-            return _witness(table, gens[i], gens[j], vec)
+            return _witness(table, a, b, vec)
     return None
 
 
@@ -443,9 +410,9 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
 
     The bracket space is taken at degree n, the ideal slice at n + slack;
     brackets of degree-n skews reach degree 2n, so callers should keep
-    slack >= n for a conclusive check (the defaults n=2, slack=2 do).  Each
-    bucket of the bracket pass is tested against one ideal slice before the
-    bucket is dropped (_containment).
+    slack >= n for a conclusive check, as the evidence bundle's probe does
+    with n = 2 and slack = 2.  Each bucket of the bracket pass is tested
+    against one ideal slice before the bucket is dropped (_containment).
     """
     wlist = list(ws)
     cls = classify(g)

@@ -63,9 +63,10 @@ from lpakit.skew import (
     ContainmentReport,
     bracket,
     skew_basis,
-    _brackets,
+    _generator_bracket,
     _generator_ids,
     _monomial_ids,
+    _pairs_by_grade,
     _witness,
 )
 
@@ -700,6 +701,16 @@ def meeting_pairs(gens: list[Element]) -> list[tuple[int, int]]:
     return [(i, j) for i, j in combinations(range(len(gens)), 2) if ends_meet(gens[i], gens[j])]
 
 
+def degree_ordered_pairs(table: MonomialTable, gens: list[int]) -> list[tuple[int, int]]:
+    """The pairs of _pairs_by_grade for the generator ids gens (listed by
+    degree), sorted by total degree, then i, then j."""
+    ends = [table._paths[k] for k in gens]
+    degs = [len(p) + len(q) - 2 for p, q in ends]
+    flats = _pairs_by_grade(table.graph, ends).values()
+    pairs = [(i, j) for flat in flats for i, j in zip(flat[::2], flat[1::2])]
+    return sorted(pairs, key=lambda ij: (degs[ij[0]] + degs[ij[1]], ij))
+
+
 def first_nonzero_bracket_oracle(g: Graph, n: int) -> BracketWitness | None:
     """The first nonzero bracket of skew generators found by listing every
     pair, sorting on (total degree, i, j) and evaluating in that order."""
@@ -811,7 +822,7 @@ def bracket_pass_oracle(g: Graph, n: int, probe: int = -1):
 def single_space_bracket_pass(g: Graph, n: int, probe: int = -1):
     """The bracket pass before it was split by grade: every bracket of the
     degree-<=n skew slice in one RowSpace on one MonomialTable, and the first
-    nonzero one, taken in the order of _brackets; the brackets of the
+    nonzero one, in (total degree, i, j) order; the brackets of the
     degree-<=probe slice in a second RowSpace, which is the first one itself
     when both slices have the same generators."""
     table = MonomialTable(g)
@@ -821,7 +832,9 @@ def single_space_bracket_pass(g: Graph, n: int, probe: int = -1):
     space = RowSpace(table)
     low = space if low_gens == main_gens else RowSpace(table)
     witness = None
-    for i, j, vec in _brackets(table, gens):
+    ids = [(k, table.star(k)) for k in gens]
+    for i, j in degree_ordered_pairs(table, gens):
+        vec = _generator_bracket(table, ids[i], ids[j])
         if not vec:
             continue
         if j < main_gens:

@@ -1,0 +1,48 @@
+"""Import hygiene of the package: every module-level import is used."""
+
+import ast
+
+import pytest
+
+from helpers import CORPUS
+
+SOURCES = sorted((CORPUS.parent / "src" / "lpakit").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by module-level imports that the module never reads,
+    except on an import whose first line carries "# noqa: F401".  A name in
+    __all__ counts as read."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read:
+                unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
+def test_unused_imports_are_found():
+    source = "from bisect import bisect_left, bisect_right\nimport os.path\nx = bisect_right\n"
+    assert unused_imports(source) == ["1: bisect_left", "2: os"]
+    assert unused_imports("import os  # noqa: F401\n") == []
+    assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

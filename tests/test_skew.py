@@ -12,6 +12,7 @@ from helpers import (
     acyclic_multigraphs,
     bracket_pass_oracle,
     containment_oracle,
+    degree_ordered_pairs,
     dimension_oracle,
     first_nonzero_bracket_oracle,
     ideal_space_oracle,
@@ -56,7 +57,7 @@ from lpakit.skew import (
     skew_basis,
     skew_part,
     _bracket_pass,
-    _brackets,
+    _generator_bracket,
     _generator_ids,
     _grades,
     _monomial_ids,
@@ -203,7 +204,10 @@ def _assert_matches_the_element_oracle(g, n) -> None:
     is homogeneous of the sum of their grades."""
     table, gens = MonomialTable(g), skew_basis(g, n)
     grades = [_grade(next(iter(x.terms))) for x in gens]  # m and m^* agree
-    for i, j, vec in _brackets(table, _ids_in(table, gens)):
+    ks = _ids_in(table, gens)
+    stars = [(k, table.star(k)) for k in ks]
+    for i, j in degree_ordered_pairs(table, ks):
+        vec = _generator_bracket(table, stars[i], stars[j])
         assert all(k < table.star(k) for k in vec), (i, j)
         ids = _monomial_ids(table, vec)
         assert ids == {table.intern(m): c for m, c in bracket(gens[i], gens[j]).terms.items()}, (i, j)
@@ -330,7 +334,7 @@ def _count_calls(monkeypatch, calls: Counter, owner, attr: str) -> None:
 
 def _ids_in(table, gens) -> list[int]:
     """The id in table of each generator's monomial m (coefficient 1), which
-    is how _brackets takes the generator."""
+    is how the bracket pass takes the generator."""
     return [table.intern(m) for x in gens for m, c in x.terms.items() if c > 0]
 
 
@@ -374,28 +378,31 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
 
 
 def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
-    # at n = 2 the probe's slice is the bracket slice, so each bracket goes
-    # into one RowSpace, not also into a second probe space: the bundle adds
-    # what the pass and the degree-4 ideal slice add, on toeplitz 6 + 15
+    # each bracket goes into one RowSpace of its bucket, whether or not the
+    # degree-2 probe's slice is the bracket slice: the bundle adds what the
+    # pass and the degree-4 ideal slice add, on toeplitz at n = 2, 6 + 15
     calls = Counter()
     _count_calls(monkeypatch, calls, RowSpace, "add")
-    for name, want in (("toeplitz", 21), ("loop_two_exits", 477)):
+    cases = (("toeplitz", 2, 21), ("loop_two_exits", 2, 477))
+    cases += (("toeplitz", 4, 56), ("loop_two_exits", 4, 7583))
+    for name, n, want in cases:
         g = corpus[name]
         calls.clear()
-        core = lie_simplicity_evidence(g, 2).classification.core
-        assert calls["add"] == want, name
+        core = lie_simplicity_evidence(g, n).classification.core
+        assert calls["add"] == want, (name, n)
         calls.clear()
-        _bracket_pass(g, 2)
+        _bracket_pass(g, n)
         _ideal_space(MonomialTable(g), core, 4)
-        assert calls["add"] == want, name
+        assert calls["add"] == want, (name, n)
 
 
 def _assert_skipped_pairs_vanish(g, n) -> int:
-    """Every generator pair that _brackets skips has four raw products that
-    vanish, so its bracket is 0; returns the number of pairs skipped."""
+    """Every generator pair that _pairs_by_grade leaves out has four raw
+    products that vanish, so its bracket is 0; returns the number of pairs
+    left out."""
     table, gens = MonomialTable(g), skew_basis(g, n)
     ks = _ids_in(table, gens)
-    evaluated = {(i, j) for i, j, _ in _brackets(table, ks)}
+    evaluated = set(degree_ordered_pairs(table, ks))
     ids = [(k, table.star(k)) for k in ks]
     skipped = 0
     for i, j in itertools.combinations(range(len(gens)), 2):
@@ -439,12 +446,16 @@ def test_acyclic_bracket_space_is_a_sum_of_orthogonal_algebras(g):
     assert lie_simplicity_evidence(g, 2 * longest_path(g)).bracket_space_dimension == want
 
 
-def test_first_nonzero_bracket_stops_early(toeplitz, monkeypatch):
+def test_first_nonzero_bracket_stops_early(corpus, monkeypatch):
+    # fewer brackets than the meeting pairs, so not a walk of all of them:
+    # on loop_two_exits 1 of 7 252
     calls = Counter()
     _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "_generator_bracket")
-    gens = len(skew_basis(toeplitz, 4))
-    assert first_nonzero_bracket(toeplitz, 4) is not None
-    assert 0 < calls["_generator_bracket"] < gens * (gens - 1) // 2
+    for name in ("toeplitz", "loop_two_exits"):
+        g = corpus[name]
+        calls.clear()
+        assert first_nonzero_bracket(g, 4) is not None, name
+        assert 0 < calls["_generator_bracket"] < len(meeting_pairs(skew_basis(g, 4))), name
 
 
 def test_witness_exists_for_every_almost_simple_corpus_graph(corpus):
