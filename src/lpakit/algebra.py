@@ -28,15 +28,17 @@ evaluates only the generator pairs that have meeting ends.
 
 Coefficients are exact throughout; nothing here ever rounds.
 Element carries Fraction coefficients.  The bracket and ideal passes run on
-an integer core instead: a MonomialTable numbers the monomials of one call
-with ids in canonical order and memoises their normal forms with int
-coefficients, and RowSpace reduces int vectors over those ids without
-fractions.  Fraction enters only where results cross back into Elements:
+an integer core instead: a MonomialTable gives each monomial an id in
+canonical order, built arithmetically from codes of its paths, and
+rewrites monomials onto the basis on those codes with int coefficients,
+and RowSpace reduces int vectors over those ids without fractions.
+Fraction enters only where results cross back into Elements:
 MonomialTable.element and RowSpace.reduced_rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
@@ -403,30 +405,37 @@ def dimension(g: Graph) -> int:
 class MonomialTable:
     """Integer ids for the monomials met by one computation over one graph.
 
-    A path is a plain tuple (source, *edge names) and a monomial p q^* the
-    pair of its paths.  Its id is an int whose order is monomial_key order:
-    with B = max(|V|, |E|, 2), a vertex path's code is the rank of its name
-    among the vertex names and an edge path's is the number with digits
-    1, rank(e_1), ..., rank(e_L) in base B, so codes order by length and
-    then by the names; a monomial of degree d with codes a, b gets
-    (w + a) w + b with w = 2 B^(d+1), which exceeds every code of length
-    <= d, so ids order by degree, then a, then b.
+    Every path has an int code: with B = max(|V|, |E|, 2), a vertex path's
+    is the rank of its name among the vertex names and an edge path's is
+    the number with digits 1, rank(e_1), ..., rank(e_L) in base B, so codes
+    of length L lie in [B^L, 2 B^L), no two paths share one, and codes order
+    by length and then by the names.  A monomial p q^* of degree d with
+    codes a, b has the id (w + a) w + b with w = 2 B^(d+1), which exceeds
+    every code of length <= d, so ids order by degree, then a, then b, as
+    monomial_key does, and the ids of degree d lie in [w^2, 2 w^2).
+
+    The table works on codes.  A product cuts and joins them
+    (skew._generator_bracket), the basis test compares last digits and the
+    rewrite rule drops them (_expansion), and no path is built on the way.
+    An id is decoded (_decode) only where a vector leaves the integer core:
+    star, monomial and so element.
 
     Normal forms have int coefficients: rewriting a monomial only ever
     produces coefficients 1 and -1, so no Fraction is needed inside.
     Fractions enter at the Element boundary, in element and in
-    RowSpace.reduced_rows.  A table grows with every monomial it meets; it
-    belongs to the call that created it and to the RowSpaces built on it,
-    and is never stored on the graph.  In the bracket pass that call is the
-    walk of one bucket of grades (skew._bracket_pass), whose table comes
-    from _fresh and is dropped with the bucket's RowSpace.
+    RowSpace.reduced_rows.  A table belongs to the call that created it and
+    to the RowSpaces built on it, and is never stored on the graph.  In the
+    bracket pass that call is the walk of one bucket of grades
+    (skew._bracket_pass), whose table comes from _fresh and is dropped with
+    the bucket's RowSpace; _normal is that walk's memo of the normal forms
+    of the non-basis products it meets, in skew coordinates.
 
-    Flat paths and a product and rewrite rule of its own, apart from
-    _raw_mul and normal_form, because each merge measured slower on a
-    shared 2-vCPU VM (Python 3.11): storing Monomials here with a shared
-    _raw_mul and rewrite made the corpus bracket pass at n=5 18-30% slower,
-    and Element arithmetic through a table per call nearly doubled its
-    set-up time, with peak RSS 36 -> 52 MB.  Without _path_objects,
+    Codes and a product and rewrite rule of their own, apart from _raw_mul
+    and normal_form, because each merge measured slower on a shared 2-vCPU
+    VM (Python 3.11): storing Monomials here with a shared _raw_mul and
+    rewrite made the corpus bracket pass at n=5 18-30% slower, and Element
+    arithmetic through a table per call nearly doubled its set-up time,
+    with peak RSS 36 -> 52 MB.  Without _path_objects,
     bracket_space(loop_two_exits, 5) took 1.5 s instead of 1.24 s and
     60 MB of max RSS instead of 48.
     """
@@ -434,26 +443,26 @@ class MonomialTable:
     def __init__(self, g: Graph):
         self.graph = g
         self._base = max(len(g.vertices), len(g.edges), 2)
-        self._vertex_rank = {v: i for i, v in enumerate(sorted(g.vertices))}
-        self._edge_rank = {name: i for i, name in enumerate(sorted(g.edge_map))}
-        self._source = {e.name: e.source for e in g.edges}
-        self._target = {e.name: e.target for e in g.edges}
-        self._special = g.least_out_edge
-        self._other_edges = {
-            v: tuple(e.name for e in g.out_edges(v) if e.name != f)
-            for v, f in self._special.items()
-        }
+        self._vertex_names = sorted(g.vertices)
+        self._edge_names = sorted(g.edge_map)
+        self._vertex_rank = {v: i for i, v in enumerate(self._vertex_names)}
+        self._edge_rank = {name: i for i, name in enumerate(self._edge_names)}
+        # by edge rank: None, or for the special edge f of v the ranks of
+        # the other edges leaving v
+        self._others: list[tuple[int, ...] | None] = [None] * len(g.edges)
+        for v, f in g.least_out_edge.items():
+            others = (self._edge_rank[e.name] for e in g.out_edges(v) if e.name != f)
+            self._others[self._edge_rank[f]] = tuple(others)
         self._widths = [2 * self._base]  # w = 2 B^(d+1) for each degree d
-        self._paths: dict[int, tuple] = {}
-        self._codes: dict[tuple, int] = {}
+        self._powers = [1]  # B^t
         self._normal: dict[int, dict[int, int]] = {}
-        self._path_objects: dict[tuple, Path] = {}
+        self._path_objects: dict[int, Path] = {}
 
     def _fresh(self) -> MonomialTable:
         """An empty table for the same graph, made without reading the
-        graph: it shares this table's ranks, edge data, path codes and
-        widths, which depend on the graph alone, and has paths and a
-        normal-form memo of its own.  Ids agree between the two.
+        graph: it shares this table's ranks, edge data, widths and powers,
+        which depend on the graph alone, and has a normal-form memo and
+        paths of its own.  Ids agree between the two.
 
         Attributes are set one by one, as __init__ sets them: on CPython
         3.11 a table whose __dict__ was updated wholesale (copy.copy does
@@ -461,93 +470,96 @@ class MonomialTable:
         table = MonomialTable.__new__(MonomialTable)
         for name, value in vars(self).items():
             setattr(table, name, value)
-        table._paths, table._normal, table._path_objects = {}, {}, {}
+        table._normal, table._path_objects = {}, {}
         return table
 
-    def _code(self, p: tuple) -> int:
-        code = self._codes.get(p)
-        if code is None:
-            if len(p) == 1:
-                code = self._vertex_rank[p[0]]
-            else:
-                code = 1
-                for e in p[1:]:
-                    code = code * self._base + self._edge_rank[e]
-            self._codes[p] = code
-        return code
-
-    def id(self, p: tuple, q: tuple) -> int:
-        """The id of p q^*; the paths must share their range."""
-        d, widths = len(p) + len(q) - 2, self._widths
+    def _widen(self, d: int) -> None:
+        """Extend the widths up to degree d, and the powers of B with them."""
+        widths, powers = self._widths, self._powers
         while len(widths) <= d:
             widths.append(widths[-1] * self._base)
-        w = widths[d]
-        k = (w + self._code(p)) * w + self._code(q)
-        if k not in self._paths:
-            self._paths[k] = (p, q)
-        return k
+            powers.append(powers[-1] * self._base)
+
+    def _coded(self, p: Path) -> tuple[int, int, int]:
+        """The code, length and source rank of p."""
+        source = self._vertex_rank[p.source]
+        code = 1 if p.edges else source
+        for e in p.edges:
+            code = code * self._base + self._edge_rank[e]
+        return code, len(p.edges), source
+
+    def intern(self, m: Monomial) -> int:
+        """The id of m; its paths must share their range."""
+        (a, la, _), (b, lb, _) = self._coded(m.p), self._coded(m.q)
+        self._widen(la + lb)
+        w = self._widths[la + lb]
+        return (w + a) * w + b
+
+    def _decode(self, k: int) -> tuple[int, int, int]:
+        """The codes a, b and the width w of the id k = (w + a) w + b: the
+        degree is the first whose 2 w^2 exceeds k, then divmod."""
+        widths = self._widths
+        while 2 * widths[-1] ** 2 <= k:
+            self._widen(len(widths))
+        w = widths[bisect_right(widths, k, key=lambda w: 2 * w * w)]
+        a, b = divmod(k, w)
+        return a - w, b, w
 
     def star(self, k: int) -> int:
         """The id of (p q^*)^* = q p^*: k's two codes swapped."""
-        p, q = self._paths[k]
-        w = self._widths[len(p) + len(q) - 2]  # set when k got its id
-        a, b = divmod(k, w)
-        ks = (w + b) * w + a - w
-        if ks not in self._paths:
-            self._paths[ks] = (q, p)
-        return ks
+        a, b, w = self._decode(k)
+        return (w + b) * w + a
 
-    def intern(self, m: Monomial) -> int:
-        return self.id((m.p.source,) + m.p.edges, (m.q.source,) + m.q.edges)
-
-    def _path(self, p: tuple) -> Path:
-        path = self._path_objects.get(p)
+    def _path(self, code: int) -> Path:
+        path = self._path_objects.get(code)
         if path is None:
-            path = Path(p[0], self._target[p[-1]] if len(p) > 1 else p[0], p[1:])
-            self._path_objects[p] = path
+            if code < self._base:
+                v = self._vertex_names[code]
+                path = Path(v, v, ())
+            else:
+                names, rest = [], code
+                while rest >= self._base:  # down to the leading digit 1
+                    rest, e = divmod(rest, self._base)
+                    names.append(self._edge_names[e])
+                names.reverse()
+                edge_map = self.graph.edge_map
+                path = Path(edge_map[names[0]].source, edge_map[names[-1]].target, tuple(names))
+            self._path_objects[code] = path
         return path
 
     def monomial(self, k: int) -> Monomial:
-        p, q = self._paths[k]
-        return Monomial(self._path(p), self._path(q))
+        a, b, _ = self._decode(k)
+        return Monomial(self._path(a), self._path(b))
 
     def element(self, vec: dict[int, int]) -> Element:
         return Element(self.graph, {self.monomial(k): Fraction(c) for k, c in vec.items()})
 
-    def normal_form(self, k: int) -> dict[int, int]:
-        """The basis expansion of monomial k; callers must not mutate it.
+    def _expansion(self, a: int, la: int, sa: int, b: int, lb: int, sb: int) -> list[tuple]:
+        """The basis expansion of p q^*, for p and q given by code, length
+        and source rank (_coded), as terms (a, b, w, c), each standing for
+        c times the monomial with codes a, b and width w.
 
-        A monomial whose paths both end with the special edge f of v is
-        p1 q1^* minus p1 e (q1 e)^* over the other edges e leaving v, and
-        those are basis monomials.  Only such expansions are memoised: a
-        basis monomial's is {k: 1}, built afresh, which keeps the table small.
-        """
-        nf = self._normal.get(k)
-        if nf is None:
-            p, q = self._paths[k]
-            f = p[-1]
-            if len(p) == 1 or len(q) == 1 or q[-1] != f or self._special[self._source[f]] != f:
-                return {k: 1}
-            p1, q1 = p[:-1], q[:-1]
-            nf = dict(self.normal_form(self.id(p1, q1)))
-            for e in self._other_edges[self._source[f]]:
-                nf[self.id(p1 + (e,), q1 + (e,))] = -1
-            self._normal[k] = nf
-        return nf
+        While p and q both end with the special edge f of v, p q^* is
+        p1 q1^* minus p1 e (q1 e)^* over the other edges e leaving v, which
+        are basis monomials: p1 and q1 drop their last digit, each on its
+        own, and a path of length 1 becomes its source vertex.  The terms
+        have distinct ids, and coefficients 1 and -1."""
+        base, widths, others = self._base, self._widths, self._others
+        terms = []
+        while la and lb and (f := a % base) == b % base and (es := others[f]) is not None:
+            a, la = (a // base, la - 1) if la > 1 else (sa, 0)
+            b, lb = (b // base, lb - 1) if lb > 1 else (sb, 0)
+            w = widths[la + lb + 2]
+            ha, hb = (a if la else 1) * base, (b if lb else 1) * base
+            terms += [(ha + e, hb + e, w, -1) for e in es]
+        terms.append((a, b, widths[la + lb], 1))
+        return terms
 
-    def product(self, a: int, b: int) -> dict[int, int] | None:
-        """The normal form of the product of monomials a and b, or None when
-        the product vanishes (see _raw_mul)."""
-        p1, q1 = self._paths[a]
-        p2, q2 = self._paths[b]
-        n1, n2 = len(q1), len(p2)
-        if n1 <= n2:
-            if p2[:n1] != q1:
-                return None
-            return self.normal_form(self.id(p1 + p2[n1:], q2))
-        if q1[:n2] != p2:
-            return None
-        return self.normal_form(self.id(p1, q2 + q1[n2:]))
+    def normal_form(self, m: Monomial) -> dict[int, int]:
+        """The basis expansion of m as an id vector (_expansion)."""
+        self._widen(m.degree)
+        terms = self._expansion(*self._coded(m.p), *self._coded(m.q))
+        return {(w + a) * w + b: c for a, b, w, c in terms}
 
 
 class RowSpace:
@@ -675,5 +687,5 @@ def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
         raise NotHereditary(f"{sorted(set(wlist))} is not hereditary")
     space = RowSpace(table)
     for m in _monomials_by_range(g, n, set(wlist)):
-        space.add(table.normal_form(table.intern(m)))
+        space.add(table.normal_form(m))
     return space

@@ -45,7 +45,7 @@ from .skew import (  # noqa: F401
     SkewError,
     TableMismatch,
     _bracket_pass,
-    _generator_ids,
+    _generators,
     bracket_space,
     fiber_m2_iso,
     lie_simplicity_evidence,
@@ -379,7 +379,7 @@ def cmd_algebra(args) -> int:
             return 2
     elif what == "skew-dim":
         report["truncation"] = n
-        report["skew_dimension"] = len(_generator_ids(MonomialTable(g), n))
+        report["skew_dimension"] = len(_generators(MonomialTable(g), n))
     elif what == "bracket-dim":
         report["truncation"] = n
         # the sum of the ranks of the pass's buckets, without reducing rows

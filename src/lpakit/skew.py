@@ -22,9 +22,11 @@ against one ideal slice.  first_nonzero_bracket sorts the same pairs by
 total degree and stops at the first nonzero one.
 
 The generators and the pass run on algebra's integer core.  A generator
-m - m^* is the id of m in a MonomialTable made for the call
-(_generator_ids).  A bracket is an int vector in skew coordinates: its
-entry c at an id k < star(k) stands for c (k - k^*) (_generator_bracket).
+m - m^* is a record of the id of m = p q^* in a MonomialTable made for the
+call and of the codes, lengths and sources of p and q (_generators).  A
+bracket is an int vector in skew coordinates: its entry c at an id
+k < star(k) stands for c (k - k^*).  It is computed on the codes, with no
+path built, sliced or hashed (_generator_bracket).
 The algebra is graded mod 2 by the vertices and edges (_grades), a bracket
 is homogeneous, and brackets of different grades have disjoint supports.
 So the pass walks the pairs a bucket of whole grades at a time, each on a
@@ -35,8 +37,9 @@ smaller of the bracket and probe slices first, so one space serves both.
 Taking vectors to monomial ids (_monomial_ids) is linear, injective and
 keeps each vector's least id, so it keeps ranks and pivots; it is done only
 where a vector leaves the pass: the witness, the containment probe and
-bracket_space.  Elements are built only for what is returned: skew_basis's
-list, the witness and the reduced rows of bracket_space.
+bracket_space, and only there are ids decoded.  Elements are built only for
+what is returned: skew_basis's list, the witness and the reduced rows of
+bracket_space.
 
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
@@ -96,13 +99,22 @@ def bracket(a: Element, b: Element) -> Element:
     return a * b - b * a
 
 
-def _generator_ids(table: MonomialTable, n: int) -> list[int]:
-    """The ids k of the basis monomials of degree <= n with k < star(k), in
-    id order: one m of each star-orbit {m, m^*} with m != m^*, the smaller
-    one.  Id order is monomial_key order (see MonomialTable), so this lists
-    generators by degree."""
-    ks = map(table.intern, basis_monomials(table.graph, n))
-    return [k for k in ks if k < table.star(k)]
+def _generators(table: MonomialTable, n: int) -> list[tuple]:
+    """The record (k, code(p), |p|, src(p), code(q), |q|, src(q)) of each
+    basis monomial m = p q^* of degree <= n with k < star(k), in id order:
+    k is the id of m, its paths are given by code, length and source rank
+    (MonomialTable._coded), and it is one m of each star-orbit {m, m^*}
+    with m != m^*, the smaller one, which is the one with code(p) <
+    code(q).  Id order is monomial_key order (see MonomialTable), so this
+    lists generators by degree.  The table's widths are widened to degree
+    2n, which the brackets of two generators reach."""
+    table._widen(2 * n)
+    records = []
+    for m in basis_monomials(table.graph, n):
+        p, q = table._coded(m.p), table._coded(m.q)
+        if p[0] < q[0]:
+            records.append((table.intern(m), *p, *q))
+    return records
 
 
 def _generator(table: MonomialTable, k: int) -> Element:
@@ -118,7 +130,7 @@ def skew_basis(g: Graph, n: int) -> list[Element]:
     its canonically smaller member and listed in canonical order.
     """
     table = MonomialTable(g)
-    return [_generator(table, k) for k in _generator_ids(table, n)]
+    return [_generator(table, x[0]) for x in _generators(table, n)]
 
 
 @dataclass(frozen=True)
@@ -138,28 +150,72 @@ class BracketWitness:
     value: Element
 
 
-def _generator_bracket(table: MonomialTable, x: tuple[int, int], y: tuple[int, int]) -> dict[int, int]:
-    """[m - m^*, n - n^*] in skew coordinates, for x = (m, m^*) and
-    y = (n, n^*): the coefficient of k - k^* at each id k < star(k).
+def _generator_bracket(table: MonomialTable, x: tuple, y: tuple) -> dict[int, int]:
+    """[m - m^*, n - n^*] in skew coordinates, for the generator records x
+    of m and y of n (_generators): the coefficient of k - k^* at each id
+    k < star(k).
 
     Both generators are skew, so yx = (xy)^* and [x, y] = xy - (xy)^*: the
-    four raw monomial products of xy, summed with their signs, less their
-    stars.  A term c k gives c (k - k^*) = -c (k^* - k), folded onto the
-    lower id; a self-adjoint k cancels.
+    four products of xy, summed with their signs, less their stars.  Each
+    is a product p q^* . r s^* of paths given by code, length and source,
+    and it is computed on the codes.  It is nonzero when q and r leave one
+    vertex and one is a prefix of the other: the longer one's code, less
+    its last t digits, is the shorter one's (t being the difference of
+    their lengths).  Then q^* r is the longer one's last t digits, joined
+    onto p when r is the longer, onto s otherwise.  A basis term is folded
+    onto the lower of its id and its star's, as _fold does, and a non-basis
+    one's folded expansion is kept in the table's memo, table._normal.
     """
-    (a, sa), (b, sb) = x, y
-    product, star = table.product, table.star
+    base, powers, widths = table._base, table._powers, table._widths
+    others, normal = table._others, table._normal
+    xp, xq, yr, ys = x[1:4], x[4:], y[1:4], y[4:]
     acc: dict[int, int] = {}
-    for u, v, sign in ((a, b, 1), (a, sb, -1), (sa, b, -1), (sa, sb, 1)):
-        nf = product(u, v)
-        if nf:
+    for (pc, pl, ps), (qc, ql, qs), (rc, rl, rs), (sc, sl, ss), sign in (
+        (xp, xq, yr, ys, 1), (xp, xq, ys, yr, -1), (xq, xp, yr, ys, -1), (xq, xp, ys, yr, 1),
+    ):
+        if qs != rs:
+            continue
+        if ql <= rl:
+            t = rl - ql
+            if ql and rc // powers[t] != qc:
+                continue
+            if t:
+                pc, pl = (pc if pl else 1) * powers[t] + rc % powers[t], pl + t
+        else:
+            t = ql - rl
+            if rl and qc // powers[t] != rc:
+                continue
+            sc, sl = (sc if sl else 1) * powers[t] + qc % powers[t], sl + t
+        w = widths[pl + sl]
+        # the first step of _expansion's basis test, inline
+        if pl and sl and (f := pc % base) == sc % base and others[f] is not None:
+            k = (w + pc) * w + sc
+            nf = normal.get(k)
+            if nf is None:
+                nf = normal[k] = _fold(table._expansion(pc, pl, ps, sc, sl, ss))
             for k, c in nf.items():
-                ks = star(k)
-                if k < ks:
-                    acc[k] = acc.get(k, 0) + sign * c
-                elif ks < k:
-                    acc[ks] = acc.get(ks, 0) - sign * c
+                acc[k] = acc.get(k, 0) + sign * c
+        elif pc < sc:
+            k = (w + pc) * w + sc
+            acc[k] = acc.get(k, 0) + sign
+        elif sc < pc:
+            k = (w + sc) * w + pc
+            acc[k] = acc.get(k, 0) - sign
     return {k: c for k, c in acc.items() if c}
+
+
+def _fold(terms: list[tuple]) -> dict[int, int]:
+    """Expansion terms (a, b, w, c) (MonomialTable._expansion) in skew
+    coordinates: c k, for k = (w + a) w + b, is c (k - k^*) when a < b and
+    -c (k^* - k) when b < a, with k^* = (w + b) w + a; it cancels when
+    a = b.  The terms have distinct ids, and no two are each other's star."""
+    out = {}
+    for a, b, w, c in terms:
+        if a < b:
+            out[(w + a) * w + b] = c
+        elif b < a:
+            out[(w + b) * w + a] = -c
+    return out
 
 
 def _monomial_ids(table: MonomialTable, vec: dict[int, int]) -> dict[int, int]:
@@ -169,9 +225,15 @@ def _monomial_ids(table: MonomialTable, vec: dict[int, int]) -> dict[int, int]:
     return dict(sorted([*vec.items(), *((star(k), -c) for k, c in vec.items())]))
 
 
-def _grades(g: Graph, ends: list[tuple[tuple, tuple]]) -> list[int]:
-    """The grade of each generator m - m^*, given the ends p, q of
-    m = p q^*: s(p), s(q) and each edge of p and q, counted mod 2, as an
+def _prefixes(table: MonomialTable, code: int, length: int, source: int) -> list[int]:
+    """The codes of a path's prefixes, from its source vertex to itself."""
+    powers = table._powers
+    return [source, *(code // powers[length - t] for t in range(1, length + 1))]
+
+
+def _grades(table: MonomialTable, gens: list[tuple]) -> list[int]:
+    """The grade of each generator m - m^*, given its record (_generators)
+    with m = p q^*: s(p), s(q) and each edge of p and q, counted mod 2, as an
     int with bit b for the b-th name of the graph's vertices, then its edges
     (names are pairwise distinct).
 
@@ -182,19 +244,22 @@ def _grades(g: Graph, ends: list[tuple[tuple, tuple]]) -> list[int]:
     nonzero product p q^* . r s^* has the sum of their grades.  So the
     bracket of two generators is homogeneous of the sum of their grades.
     """
+    g, base = table.graph, table._base
     bit = {name: 1 << b for b, name in enumerate((*g.vertices, *g.edge_map))}
+    vertex_bit = [bit[v] for v in table._vertex_names]
+    edge_bit = [bit[e] for e in table._edge_names]
     grades = []
-    for p, q in ends:
-        grade = bit[p[0]] ^ bit[q[0]]
-        for e in p[1:]:
-            grade ^= bit[e]
-        for e in q[1:]:
-            grade ^= bit[e]
+    for _, a, la, sa, b, lb, sb in gens:
+        grade = vertex_bit[sa] ^ vertex_bit[sb]
+        for code, length in ((a, la), (b, lb)):
+            for _ in range(length):
+                code, e = divmod(code, base)
+                grade ^= edge_bit[e]
         grades.append(grade)
     return grades
 
 
-def _pairs_by_grade(g: Graph, ends: list[tuple[tuple, tuple]]) -> dict[int, list[int]]:
+def _pairs_by_grade(table: MonomialTable, gens: list[tuple]) -> dict[int, list[int]]:
     """Every pair i < j of generators whose ends meet, as flat lists
     i, j, i, j, ... ordered by i, then j, and keyed by hash(grade) of the
     pair's grade: the sum of the grades of i and j (_grades), which their
@@ -202,28 +267,29 @@ def _pairs_by_grade(g: Graph, ends: list[tuple[tuple, tuple]]) -> dict[int, list
 
     A product p q^* . r s^* vanishes unless q and r meet (_raw_mul), so a
     pair whose ends do not meet brackets to 0.  The ends of m - m^* with
-    m = p q^* are the paths p and q, as tuples (source, *edge names); two
-    paths meet when one is a prefix of the other.  The index lists, for each
-    path, the generators that have it as an end and the generators that have
-    an end beginning with it.
+    m = p q^* are the paths p and q; two paths meet when one is a prefix of
+    the other.  Paths are keyed by their codes (_prefixes), which no two
+    share.  The index lists, for each path, the generators that have it as
+    an end and the generators that have an end beginning with it.
     """
-    grades = _grades(g, ends)
-    holders: dict[tuple, list[int]] = {}
-    under: dict[tuple, list[int]] = {}
+    grades = _grades(table, gens)
+    ends = [(_prefixes(table, *x[1:4]), _prefixes(table, *x[4:])) for x in gens]
+    holders: dict[int, list[int]] = {}
+    under: dict[int, list[int]] = {}
     for i, pair in enumerate(ends):
-        for e in pair:
-            holders.setdefault(e, []).append(i)
-            for n in range(1, len(e) + 1):
-                below = under.setdefault(e[:n], [])
+        for prefixes in pair:
+            holders.setdefault(prefixes[-1], []).append(i)
+            for code in prefixes:
+                below = under.setdefault(code, [])
                 if not below or below[-1] != i:  # p and q may share a prefix
                     below.append(i)
     by_grade: dict[int, list[int]] = {}
     for i, (pair, grade) in enumerate(zip(ends, grades)):
         js: set[int] = set()
-        for e in pair:
-            js.update(under[e])
-            for n in range(1, len(e)):
-                js.update(holders.get(e[:n], ()))
+        for prefixes in pair:
+            js.update(under[prefixes[-1]])
+            for code in prefixes[:-1]:
+                js.update(holders.get(code, ()))
         for j in sorted(js):
             if j > i:
                 by_grade.setdefault(hash(grade ^ grades[j]), []).extend((i, j))
@@ -247,34 +313,31 @@ def _bracket_pass(
     bucket is done, so the pass holds the products and rows of one bucket at
     a time.  Brackets of different grades have disjoint supports, so the
     ranks of the buckets add up to the rank of the span.  Ids are arithmetic
-    codes (MonomialTable), so they agree across tables.  A bucket takes
-    grades until it has as many pairs as there are generators, so that
-    entering every generator's paths in its table costs less than its walk.
+    codes (MonomialTable), so they agree across tables, and a bucket's table
+    holds no more than its memo of normal forms (_generator_bracket) and the
+    paths of its witness.  A bucket takes grades until it has as many pairs
+    as there are generators; one grade per bucket measured no faster.
     The bucket that holds a new least witness builds it on its table.
 
     visit, when given, sees each bucket's RowSpace when it spans the
     bucket's degree-<=probe brackets (probe defaults to n), and reads it
-    then.  The slices' generators are prefixes of one list (_generator_ids
+    then.  The slices' generators are prefixes of one list (_generators
     lists by degree), and a pair is in a slice when its j is below that
     slice's generator count.  So a bucket adds the smaller slice's pairs
     first, then the rest, and its space spans each slice's brackets in turn.
     """
     probe = n if probe is None else probe
     table = MonomialTable(g)
-    gens = _generator_ids(table, max(n, probe))
-    ends = [table._paths[k] for k in gens]
-    degs = [len(p) + len(q) - 2 for p, q in ends]
+    gens = _generators(table, max(n, probe))
+    degs = [x[2] + x[5] for x in gens]
     main_gens, cut = bisect_right(degs, n), bisect_right(degs, min(n, probe))
-    by_grade = _pairs_by_grade(g, ends)
+    by_grade = _pairs_by_grade(table, gens)
     rank, best, witness = 0, None, None
-    ids = [(k, table.star(k)) for k in gens]
-    generator_paths = {k: table._paths[k] for pair in ids for k in pair}
     while by_grade:
         walk: list[int] = []
         while by_grade and len(walk) < 2 * len(gens):
             walk += by_grade.popitem()[1]
         bucket = table._fresh()
-        bucket._paths.update(generator_paths)
         space = RowSpace(bucket)
         least = None
         for smaller in (True, False):
@@ -283,7 +346,7 @@ def _bracket_pass(
             for i, j in zip(pairs, pairs):
                 if (j < cut) != smaller:
                     continue
-                vec = _generator_bracket(bucket, ids[i], ids[j])
+                vec = _generator_bracket(bucket, gens[i], gens[j])
                 if not vec:
                     continue
                 if j < main_gens:  # and so i < main_gens
@@ -297,7 +360,7 @@ def _bracket_pass(
                 visit(space)
         if least is not None:
             _, i, j = best
-            witness = _witness(bucket, gens[i], gens[j], least)
+            witness = _witness(bucket, gens[i][0], gens[j][0], least)
     return rank, witness
 
 
@@ -327,19 +390,17 @@ def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
     i, j) order: the pairs of _pairs_by_grade, sorted, evaluated on one table
     up to the first nonzero one."""
     table = MonomialTable(g)
-    gens = _generator_ids(table, n)
-    ends = [table._paths[k] for k in gens]
-    degs = [len(p) + len(q) - 2 for p, q in ends]
+    gens = _generators(table, n)
+    degs = [x[2] + x[5] for x in gens]
     pairs = sorted(
         (degs[i] + degs[j], i, j)
-        for flat in _pairs_by_grade(g, ends).values()
+        for flat in _pairs_by_grade(table, gens).values()
         for i, j in zip(flat[::2], flat[1::2])
     )
     for _, i, j in pairs:
-        a, b = gens[i], gens[j]
-        vec = _generator_bracket(table, (a, table.star(a)), (b, table.star(b)))
+        vec = _generator_bracket(table, gens[i], gens[j])
         if vec:
-            return _witness(table, a, b, vec)
+            return _witness(table, gens[i][0], gens[j][0], vec)
     return None
 
 

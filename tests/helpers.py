@@ -64,7 +64,7 @@ from lpakit.skew import (
     bracket,
     skew_basis,
     _generator_bracket,
-    _generator_ids,
+    _generators,
     _monomial_ids,
     _pairs_by_grade,
     _witness,
@@ -669,6 +669,98 @@ def image_of_element_dense(model: CycleModel, x: Element) -> DenseLaurentMatrix:
     return total
 
 
+class TupleTable:
+    """The tuple kernel that MonomialTable's code arithmetic replaced, with
+    the same ids: a path is a tuple (source, *edge names), the paths of
+    every id met are stored, a product slices and joins tuples and hashes
+    them back into ids, and the rewrite step drops a tuple's last name."""
+
+    def __init__(self, g: Graph):
+        self.graph = g
+        self._base = max(len(g.vertices), len(g.edges), 2)
+        self._vertex_rank = {v: i for i, v in enumerate(sorted(g.vertices))}
+        self._edge_rank = {name: i for i, name in enumerate(sorted(g.edge_map))}
+        self._source = {e.name: e.source for e in g.edges}
+        self._special = g.least_out_edge
+        self._other_edges = {
+            v: tuple(e.name for e in g.out_edges(v) if e.name != f)
+            for v, f in self._special.items()
+        }
+        self._widths = [2 * self._base]
+        self._paths: dict[int, tuple] = {}
+        self._normal: dict[int, dict[int, int]] = {}
+
+    def _code(self, p: tuple) -> int:
+        if len(p) == 1:
+            return self._vertex_rank[p[0]]
+        code = 1
+        for e in p[1:]:
+            code = code * self._base + self._edge_rank[e]
+        return code
+
+    def id(self, p: tuple, q: tuple) -> int:
+        d, widths = len(p) + len(q) - 2, self._widths
+        while len(widths) <= d:
+            widths.append(widths[-1] * self._base)
+        w = widths[d]
+        k = (w + self._code(p)) * w + self._code(q)
+        self._paths.setdefault(k, (p, q))
+        return k
+
+    def intern(self, m: Monomial) -> int:
+        return self.id((m.p.source,) + m.p.edges, (m.q.source,) + m.q.edges)
+
+    def star(self, k: int) -> int:
+        p, q = self._paths[k]
+        return self.id(q, p)
+
+    def normal_form(self, k: int) -> dict[int, int]:
+        nf = self._normal.get(k)
+        if nf is None:
+            p, q = self._paths[k]
+            f = p[-1]
+            if len(p) == 1 or len(q) == 1 or q[-1] != f or self._special[self._source[f]] != f:
+                return {k: 1}
+            p1, q1 = p[:-1], q[:-1]
+            nf = dict(self.normal_form(self.id(p1, q1)))
+            for e in self._other_edges[self._source[f]]:
+                nf[self.id(p1 + (e,), q1 + (e,))] = -1
+            self._normal[k] = nf
+        return nf
+
+    def product(self, a: int, b: int) -> dict[int, int] | None:
+        """The normal form of the product of monomials a and b, or None when
+        the product vanishes (see _raw_mul)."""
+        p1, q1 = self._paths[a]
+        p2, q2 = self._paths[b]
+        n1, n2 = len(q1), len(p2)
+        if n1 <= n2:
+            if p2[:n1] != q1:
+                return None
+            return self.normal_form(self.id(p1 + p2[n1:], q2))
+        if q1[:n2] != p2:
+            return None
+        return self.normal_form(self.id(p1, q2 + q1[n2:]))
+
+
+def tuple_generator_bracket(table: TupleTable, x: tuple[int, int], y: tuple[int, int]) -> dict[int, int]:
+    """_generator_bracket on the tuple kernel, for x = (m, m^*) and
+    y = (n, n^*): the four products of xy with their signs, less their
+    stars, each term folded onto the lower of k and star(k)."""
+    (a, sa), (b, sb) = x, y
+    acc: dict[int, int] = {}
+    for u, v, sign in ((a, b, 1), (a, sb, -1), (sa, b, -1), (sa, sb, 1)):
+        nf = table.product(u, v)
+        if nf:
+            for k, c in nf.items():
+                ks = table.star(k)
+                if k < ks:
+                    acc[k] = acc.get(k, 0) + sign * c
+                elif ks < k:
+                    acc[ks] = acc.get(ks, 0) - sign * c
+    return {k: c for k, c in acc.items() if c}
+
+
 def skew_basis_by_key(g: Graph, n: int) -> list[Element]:
     """The skew generators as skew_basis once built them: m - m^* for each
     basis monomial m != m^* that comes first in monomial_key order."""
@@ -701,12 +793,11 @@ def meeting_pairs(gens: list[Element]) -> list[tuple[int, int]]:
     return [(i, j) for i, j in combinations(range(len(gens)), 2) if ends_meet(gens[i], gens[j])]
 
 
-def degree_ordered_pairs(table: MonomialTable, gens: list[int]) -> list[tuple[int, int]]:
-    """The pairs of _pairs_by_grade for the generator ids gens (listed by
-    degree), sorted by total degree, then i, then j."""
-    ends = [table._paths[k] for k in gens]
-    degs = [len(p) + len(q) - 2 for p, q in ends]
-    flats = _pairs_by_grade(table.graph, ends).values()
+def degree_ordered_pairs(table: MonomialTable, gens: list[tuple]) -> list[tuple[int, int]]:
+    """The pairs of _pairs_by_grade for the generator records gens (listed
+    by degree), sorted by total degree, then i, then j."""
+    degs = [x[2] + x[5] for x in gens]
+    flats = _pairs_by_grade(table, gens).values()
     pairs = [(i, j) for flat in flats for i, j in zip(flat[::2], flat[1::2])]
     return sorted(pairs, key=lambda ij: (degs[ij[0]] + degs[ij[1]], ij))
 
@@ -826,20 +917,19 @@ def single_space_bracket_pass(g: Graph, n: int, probe: int = -1):
     degree-<=probe slice in a second RowSpace, which is the first one itself
     when both slices have the same generators."""
     table = MonomialTable(g)
-    main, low_ids = _generator_ids(table, n), _generator_ids(table, probe)
+    main, low_ids = _generators(table, n), _generators(table, probe)
     gens = max(main, low_ids, key=len)
     main_gens, low_gens = len(main), len(low_ids)
     space = RowSpace(table)
     low = space if low_gens == main_gens else RowSpace(table)
     witness = None
-    ids = [(k, table.star(k)) for k in gens]
     for i, j in degree_ordered_pairs(table, gens):
-        vec = _generator_bracket(table, ids[i], ids[j])
+        vec = _generator_bracket(table, gens[i], gens[j])
         if not vec:
             continue
         if j < main_gens:
             if witness is None:
-                witness = _witness(table, gens[i], gens[j], vec)
+                witness = _witness(table, gens[i][0], gens[j][0], vec)
             space.add(vec)
         if low is not space and j < low_gens:
             low.add(vec)

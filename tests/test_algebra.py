@@ -415,6 +415,42 @@ def test_table_ids_follow_monomial_key(g, n):
     _assert_ids_follow_monomial_key(g, n)
 
 
+def _code(g, p) -> int:
+    """p's code written out: its source's rank among the vertex names, or
+    the digits 1 and the ranks of its edges among the edge names, in base
+    max(|V|, |E|, 2)."""
+    if not p.edges:
+        return sorted(g.vertices).index(p.source)
+    base, names = max(len(g.vertices), len(g.edges), 2), sorted(g.edge_map)
+    return sum(names.index(e) * base**i for i, e in enumerate(reversed(p.edges))) + base ** len(p.edges)
+
+
+def _assert_ids_decode(g) -> None:
+    """Every basis monomial m = p q^* of degree <= 4 comes back from its id
+    on a table that never met it: _decode gives the codes of p and q and
+    monomial gives m; star is an involution and gives the id of q p^*."""
+    table, fresh = MonomialTable(g), MonomialTable(g)
+    for m in basis_monomials(g, 4):
+        k = table.intern(m)
+        a, b, w = fresh._decode(k)
+        assert (a, b) == (_code(g, m.p), _code(g, m.q)) and k == (w + a) * w + b, str(m)
+        assert fresh.monomial(k) == (m.p, m.q), str(m)
+        assert table.star(table.star(k)) == k, str(m)
+        assert table.star(k) == table.intern(m.star()), str(m)
+
+
+def test_ids_decode_and_star_round_trip(corpus):
+    graphs = [
+        *corpus.values(),
+        build(["a", "b", "c", "d"], [("e", "a", "b"), ("f", "c", "c")]),  # |V| > |E|
+        build(["v", "w"], [("e1", "v", "w"), ("e2", "v", "w"), ("c", "v", "v"), ("r", "w", "v")]),
+        build(["v"]),  # no edge, so the base B is 2
+    ]
+    assert [len(g.vertices) > len(g.edges) for g in graphs[-3:]] == [True, False, True]
+    for g in graphs:
+        _assert_ids_decode(g)
+
+
 def test_dimension_frozen_values(corpus):
     assert dimension(corpus["single_vertex"]) == 1
     assert dimension(corpus["fiber"]) == 4

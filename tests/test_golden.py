@@ -16,6 +16,7 @@ from lpakit.cli import main
 from lpakit.graph import condensation
 
 CORPUS_JSON_T4 = "baf19874338db122dbd499bf3bb1d249557c3cb2202be6385b8e420572b3371e"
+CORPUS_JSON_T5 = "d7a23b67cc07698c6b97bd424078ff76d5b53a581b3b5ce87956be9ca1e0263c"
 CORPUS_TEXT_NO_EVIDENCE = "3ea0624cb95fc5bcca60d28af389d1dd1240caf94873039b5c15f9ff3ba178ef"
 INSPECT_JSON = "58cfee232f2382a303733fbf493a9a765329e150560537d96c0ab2b99ea55112"
 INSPECT_TEXT = "12d49a23dc2d42f33e7a43e8d96fb89c7df487a17a9909c7c75ea2ba2e3d6d16"
@@ -48,6 +49,13 @@ def _corpus_files() -> list[str]:
 def test_corpus_classify_json_at_truncate_4(stdout_sha256):
     argv = ["classify", "--corpus", "corpus", "--json", "--truncate", "4"]
     assert stdout_sha256(argv) == CORPUS_JSON_T4
+
+
+def test_corpus_classify_json_at_truncate_5(stdout_sha256):
+    # every corpus bundle at truncation 5, with its containment report;
+    # loop_two_exits alone evaluates 41 780 brackets
+    argv = ["classify", "--corpus", "corpus", "--json", "--truncate", "5"]
+    assert stdout_sha256(argv) == CORPUS_JSON_T5
 
 
 def test_corpus_classify_text_without_evidence(stdout_sha256):

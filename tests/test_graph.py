@@ -282,8 +282,8 @@ def test_pickled_graph_is_rebuilt_and_validated():
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(multigraphs())
 def test_least_out_edge_keeps_its_items_and_order(g):
-    # MonomialTable._other_edges iterates this dict: sources in the order
-    # of their first out-edge, each with its least out-edge name
+    # MonomialTable reads its special edges from this dict: sources in the
+    # order of their first out-edge, each with its least out-edge name
     expect: dict[str, str] = {}
     for e in g.edges:
         expect.setdefault(e.source, min(f.name for f in g.out_edges(e.source)))

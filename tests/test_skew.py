@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from helpers import (
     acyclic_multigraphs,
     bracket_pass_oracle,
+    build,
     containment_oracle,
     degree_ordered_pairs,
     dimension_oracle,
     first_nonzero_bracket_oracle,
+    TupleTable,
     ideal_space_oracle,
     is_skew,
     load,
@@ -30,6 +32,7 @@ from helpers import (
     single_space_containment,
     skew_basis_by_key,
     span,
+    tuple_generator_bracket,
 )
 
 from lpakit.algebra import (
@@ -58,7 +61,7 @@ from lpakit.skew import (
     skew_part,
     _bracket_pass,
     _generator_bracket,
-    _generator_ids,
+    _generators,
     _grades,
     _monomial_ids,
 )
@@ -204,10 +207,10 @@ def _assert_matches_the_element_oracle(g, n) -> None:
     is homogeneous of the sum of their grades."""
     table, gens = MonomialTable(g), skew_basis(g, n)
     grades = [_grade(next(iter(x.terms))) for x in gens]  # m and m^* agree
-    ks = _ids_in(table, gens)
-    stars = [(k, table.star(k)) for k in ks]
-    for i, j in degree_ordered_pairs(table, ks):
-        vec = _generator_bracket(table, stars[i], stars[j])
+    records = _generators(table, n)
+    assert [x[0] for x in records] == _ids_in(table, gens)
+    for i, j in degree_ordered_pairs(table, records):
+        vec = _generator_bracket(table, records[i], records[j])
         assert all(k < table.star(k) for k in vec), (i, j)
         ids = _monomial_ids(table, vec)
         assert ids == {table.intern(m): c for m, c in bracket(gens[i], gens[j]).terms.items()}, (i, j)
@@ -243,6 +246,51 @@ def test_integer_kernel_matches_the_oracle(g, n):
     _assert_matches_the_element_oracle(g, n)
 
 
+def _assert_matches_the_tuple_kernel(g, n) -> int:
+    """_generator_bracket on codes against the tuple kernel it replaced
+    (TupleTable, tuple_generator_bracket), vector by vector over every
+    meeting pair of the degree-<=n slice; returns the largest id met.
+
+    Among the mutants it catches is a rewrite step that shortens both
+    paths to their source vertices once p has length 1, as if |p| = |q|
+    there: from n = 2 on balloon_core2 and nine more corpus graphs."""
+    table, oracle = MonomialTable(g), TupleTable(g)
+    records = _generators(table, n)
+    ks = [oracle.intern(m) for m in basis_monomials(g, n)]
+    ks = [k for k in ks if k < oracle.star(k)]
+    assert [x[0] for x in records] == ks
+    stars = [(k, oracle.star(k)) for k in ks]
+    top = max(ks, default=0)
+    for i, j in degree_ordered_pairs(table, records):
+        vec = _generator_bracket(table, records[i], records[j])
+        assert vec == tuple_generator_bracket(oracle, stars[i], stars[j]), (i, j)
+        top = max(top, *vec, 0)
+    return top
+
+
+def test_code_kernel_matches_the_tuple_kernel_on_the_corpus(corpus):
+    for name, g in corpus.items():
+        for n in range(6):
+            _assert_matches_the_tuple_kernel(g, n)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=7), st.integers(0, 3))
+def test_code_kernel_matches_the_tuple_kernel(g, n):
+    assume(len(skew_basis(g, n)) <= 300)
+    _assert_matches_the_tuple_kernel(g, n)
+
+
+def test_code_kernel_matches_the_tuple_kernel_past_64_bits():
+    # a 300-vertex cycle with an exit at each vertex: B = 600, so the ids
+    # of degree 6 are near 2 (2 * 600^7)^2, past 2**128
+    size = 300
+    vertices = [f"c{i}" for i in range(size)] + [f"s{i}" for i in range(size)]
+    edges = [(f"a{i}", f"c{i}", f"c{(i + 1) % size}") for i in range(size)]
+    edges += [(f"x{i}", f"c{i}", f"s{i}") for i in range(size)]
+    assert _assert_matches_the_tuple_kernel(build(vertices, edges), 3) > 2**128
+
+
 def _assert_matches_the_single_space_pass(g, n) -> None:
     """The bucketed bracket pass against the single-RowSpace pass it
     replaced: the rank, the witness, the containment reports of the bundle
@@ -268,10 +316,10 @@ def _assert_matches_the_single_space_pass(g, n) -> None:
     got, want = bracket_space(g, n).basis, single_space_bracket_rows(g, n)
     assert [list(x.terms.items()) for x in got] == [list(x.terms.items()) for x in want]
     table = MonomialTable(g)
-    gens = _generator_ids(table, n)
+    gens = _generators(table, n)
     names = [*g.vertices, *g.edge_map]
-    for k, grade in zip(gens, _grades(g, [table._paths[k] for k in gens])):
-        assert {x for b, x in enumerate(names) if grade >> b & 1} == _grade(table.monomial(k))
+    for x, grade in zip(gens, _grades(table, gens)):
+        assert {y for b, y in enumerate(names) if grade >> b & 1} == _grade(table.monomial(x[0]))
 
 
 def test_bucketed_pass_matches_the_single_space_pass_on_the_corpus(corpus):
@@ -290,9 +338,10 @@ def test_bucketed_pass_matches_the_single_space_pass(g, n):
 def test_bracket_pass_memory_follows_the_largest_bucket(corpus):
     """On loop_two_exits at n=5 (41 780 meeting pairs in 32 grades, the
     largest with 4.5% of them) the traced peak of the pass was 15.5 MB with
-    one MonomialTable and one RowSpace for all brackets, and is about
-    1.7 MB with one per bucket of grades.  The 6 MB bound leaves 3.5 times
-    the measured peak and fails the single-space pass by 2.6 times."""
+    one MonomialTable and one RowSpace for all brackets, about 1.7 MB with
+    one per bucket of grades, and is about 1.2 MB since brackets are
+    evaluated on path codes.  The 6 MB bound leaves 5 times the measured
+    peak and fails the single-space pass by 2.6 times."""
     g = corpus["loop_two_exits"]
     tracemalloc.start()
     try:
@@ -398,17 +447,17 @@ def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
 
 def _assert_skipped_pairs_vanish(g, n) -> int:
     """Every generator pair that _pairs_by_grade leaves out has four raw
-    products that vanish, so its bracket is 0; returns the number of pairs
-    left out."""
-    table, gens = MonomialTable(g), skew_basis(g, n)
-    ks = _ids_in(table, gens)
-    evaluated = set(degree_ordered_pairs(table, ks))
-    ids = [(k, table.star(k)) for k in ks]
+    products that vanish in the tuple kernel, so its bracket is 0; returns
+    the number of pairs left out."""
+    table, oracle, gens = MonomialTable(g), TupleTable(g), skew_basis(g, n)
+    ks = _ids_in(oracle, gens)
+    evaluated = set(degree_ordered_pairs(table, _generators(table, n)))
+    ids = [(k, oracle.star(k)) for k in ks]
     skipped = 0
     for i, j in itertools.combinations(range(len(gens)), 2):
         if (i, j) not in evaluated:
             skipped += 1
-            assert all(table.product(u, v) is None for u in ids[i] for v in ids[j]), (i, j)
+            assert all(oracle.product(u, v) is None for u in ids[i] for v in ids[j]), (i, j)
     return skipped
 
 
