@@ -425,10 +425,9 @@ class MonomialTable:
     Fractions enter at the Element boundary, in element and in
     RowSpace.reduced_rows.  A table belongs to the call that created it and
     to the RowSpaces built on it, and is never stored on the graph.  In the
-    bracket pass that call is the walk of one bucket of grades
-    (skew._bracket_pass), whose table comes from _fresh and is dropped with
-    the bucket's RowSpace; _normal is that walk's memo of the normal forms
-    of the non-basis products it meets, in skew coordinates.
+    bracket pass that call is the whole pass (skew._bracket_pass), which
+    empties _normal at each bucket of grades: it is the memo of the normal
+    forms of the non-basis products one bucket meets, in skew coordinates.
 
     Codes and a product and rewrite rule of their own, apart from _raw_mul
     and normal_form, because each merge measured slower on a shared 2-vCPU
@@ -458,21 +457,6 @@ class MonomialTable:
         self._normal: dict[int, dict[int, int]] = {}
         self._path_objects: dict[int, Path] = {}
 
-    def _fresh(self) -> MonomialTable:
-        """An empty table for the same graph, made without reading the
-        graph: it shares this table's ranks, edge data, widths and powers,
-        which depend on the graph alone, and has a normal-form memo and
-        paths of its own.  Ids agree between the two.
-
-        Attributes are set one by one, as __init__ sets them: on CPython
-        3.11 a table whose __dict__ was updated wholesale (copy.copy does
-        that) made the corpus bracket pass at n=4 about 10% slower."""
-        table = MonomialTable.__new__(MonomialTable)
-        for name, value in vars(self).items():
-            setattr(table, name, value)
-        table._normal, table._path_objects = {}, {}
-        return table
-
     def _widen(self, d: int) -> None:
         """Extend the widths up to degree d, and the powers of B with them."""
         widths, powers = self._widths, self._powers
@@ -487,13 +471,6 @@ class MonomialTable:
         for e in p.edges:
             code = code * self._base + self._edge_rank[e]
         return code, len(p.edges), source
-
-    def intern(self, m: Monomial) -> int:
-        """The id of m; its paths must share their range."""
-        (a, la, _), (b, lb, _) = self._coded(m.p), self._coded(m.q)
-        self._widen(la + lb)
-        w = self._widths[la + lb]
-        return (w + a) * w + b
 
     def _decode(self, k: int) -> tuple[int, int, int]:
         """The codes a, b and the width w of the id k = (w + a) w + b: the

@@ -128,6 +128,15 @@ def parse_graph_two_pass(text: str) -> Graph:
     return Graph(vertices, edges)
 
 
+def intern(table: MonomialTable, m: Monomial) -> int:
+    """The id of m in table: (w + a) w + b for the codes a, b of its paths,
+    which must share their range, and the width w of its degree."""
+    (a, la, _), (b, lb, _) = table._coded(m.p), table._coded(m.q)
+    table._widen(la + lb)
+    w = table._widths[la + lb]
+    return (w + a) * w + b
+
+
 class ElementSpan:
     """The package's integer RowSpace fed with Elements: each rational term
     map is scaled by the lcm of its denominators and keyed by the ids of the
@@ -139,7 +148,7 @@ class ElementSpan:
 
     def _ids(self, terms: dict) -> dict[int, int]:
         scale = lcm(*(Fraction(c).denominator for c in terms.values()))
-        return {self.table.intern(m): int(c * scale) for m, c in terms.items()}
+        return {intern(self.table, m): int(c * scale) for m, c in terms.items()}
 
     def add(self, terms: dict) -> bool:
         return self.space.add(self._ids(terms))

@@ -17,6 +17,7 @@ from helpers import (
     cycles_oracle,
     dimension_oracle,
     element_mul_all_pairs,
+    intern,
     load,
     multigraphs,
     normal_form_oracle,
@@ -395,7 +396,7 @@ def _assert_ids_follow_monomial_key(g, n) -> None:
     k < star(k) exactly when m comes before m^* in that order."""
     table = MonomialTable(g)
     ms = basis_monomials(g, n)
-    ids = [table.intern(m) for m in ms]
+    ids = [intern(table, m) for m in ms]
     assert all(a < b for a, b in zip(ids, ids[1:])), (g, n)
     for m, k in zip(ms, ids):
         assert (k < table.star(k)) == (monomial_key(m) < monomial_key(m.star())), (g, n, str(m))
@@ -431,12 +432,12 @@ def _assert_ids_decode(g) -> None:
     monomial gives m; star is an involution and gives the id of q p^*."""
     table, fresh = MonomialTable(g), MonomialTable(g)
     for m in basis_monomials(g, 4):
-        k = table.intern(m)
+        k = intern(table, m)
         a, b, w = fresh._decode(k)
         assert (a, b) == (_code(g, m.p), _code(g, m.q)) and k == (w + a) * w + b, str(m)
         assert fresh.monomial(k) == (m.p, m.q), str(m)
         assert table.star(table.star(k)) == k, str(m)
-        assert table.star(k) == table.intern(m.star()), str(m)
+        assert table.star(k) == intern(table, m.star()), str(m)
 
 
 def test_ids_decode_and_star_round_trip(corpus):
@@ -561,9 +562,10 @@ def test_rowspace_reduces_against_a_pivot_with_lead_two(fork2):
 
 def test_reduced_rows_leaves_the_space_as_it_was(corpus):
     g = corpus["loop_two_exits"]
-    buckets = []  # the bracket pass's RowSpaces, one per bucket of grades
+    buckets = []  # the bracket pass's RowSpaces, one per bucket, on one table
     _bracket_pass(g, 2, visit=buckets.append)
     spaces = (*buckets, _ideal_space(MonomialTable(g), classify(g).core, 3))
+    assert len(buckets) > 1 and all(space.table is buckets[0].table for space in buckets)
     for space in spaces:
         rank, pivots = space.rank, [(k, dict(row)) for k, row in space.pivots.items()]
         rows = space.reduced_rows()

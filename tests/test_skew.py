@@ -18,6 +18,7 @@ from helpers import (
     first_nonzero_bracket_oracle,
     TupleTable,
     ideal_space_oracle,
+    intern,
     is_skew,
     load,
     longest_path,
@@ -213,7 +214,7 @@ def _assert_matches_the_element_oracle(g, n) -> None:
         vec = _generator_bracket(table, records[i], records[j])
         assert all(k < table.star(k) for k in vec), (i, j)
         ids = _monomial_ids(table, vec)
-        assert ids == {table.intern(m): c for m, c in bracket(gens[i], gens[j]).terms.items()}, (i, j)
+        assert ids == {intern(table, m): c for m, c in bracket(gens[i], gens[j]).terms.items()}, (i, j)
         assert list(ids) == sorted(ids), (i, j)
         want = grades[i] ^ grades[j]
         assert all(_grade(table.monomial(k)) == want for k in vec), (i, j)
@@ -383,8 +384,12 @@ def _count_calls(monkeypatch, calls: Counter, owner, attr: str) -> None:
 
 def _ids_in(table, gens) -> list[int]:
     """The id in table of each generator's monomial m (coefficient 1), which
-    is how the bracket pass takes the generator."""
-    return [table.intern(m) for x in gens for m, c in x.terms.items() if c > 0]
+    is how the bracket pass takes the generator.  A TupleTable also records
+    the paths of each id, for its star and product."""
+    ms = [m for x in gens for m, c in x.terms.items() if c > 0]
+    if isinstance(table, TupleTable):
+        return [table.intern(m) for m in ms]
+    return [intern(table, m) for m in ms]
 
 
 def _generator_index(g, gens) -> dict[int, int]:
@@ -424,6 +429,18 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
             assert pairs == meeting_pairs(gens), (name, n)
             assert calls["classify"] == 1, (name, n)
             assert calls["reduced_rows"] == 0, (name, n)
+
+
+def test_bracket_pass_builds_one_witness(corpus, monkeypatch):
+    # the witness is built once, after the walk, from the vector of the
+    # least key, however many buckets lower the key on the way
+    calls = Counter()
+    _count_calls(monkeypatch, calls, sys.modules["lpakit.skew"], "_witness")
+    for name, g in corpus.items():
+        for n in range(2, 6):
+            calls.clear()
+            witness = _bracket_pass(g, n)[1]
+            assert calls["_witness"] == (witness is not None), (name, n)
 
 
 def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
