@@ -548,6 +548,11 @@ class RowSpace:
     increasing id order, taken from a heap; a step against a pivot row with
     lead L scales the residue by L / gcd(L, c) only when L is not 1, so
     nothing is ever divided and the rank is exact (Bareiss 1968).
+
+    A one-entry vector {k: c} with c != 0 is taken without elimination:
+    with no pivot row at k it becomes the row {k: 1}, which is what the
+    elimination would give, and against the row {k: 1} it adds nothing.
+    Only against a longer pivot row at k is it reduced.
     """
 
     def __init__(self, table: MonomialTable):
@@ -597,6 +602,14 @@ class RowSpace:
 
     def add(self, vec: dict[int, int]) -> bool:
         """Insert a vector; returns True when it enlarged the span."""
+        if len(vec) == 1:
+            [(k, c)] = vec.items()
+            row = self.pivots.get(k)
+            if not c or row is not None and len(row) == 1:
+                return False
+            if row is None:
+                self.pivots[k] = {k: 1}
+                return True
         res = self._residue(vec)
         if not res:
             return False

@@ -34,7 +34,11 @@ MonomialTable, each bucket with a fraction-free RowSpace and a memo of
 normal forms of its own that are dropped when the bucket is done: it holds
 the products and rows of one bucket, not of the whole slice, and ranks add
 up over the buckets.  A bucket adds the smaller of the bracket and probe
-slices first, so one space serves both.
+slices first, so one space serves both.  Within each of these two parts a
+one-entry bracket, which RowSpace takes without elimination, is added as
+it comes, and the rest are added after the part's walk, shortest first:
+63% of the nonzero brackets of the corpus at n = 5 have one entry, and a
+longer row added first would take pivots that they then must clear.
 Taking vectors to monomial ids (_monomial_ids) is linear, injective and
 keeps each vector's least id, so it keeps ranks and pivots; it is done only
 where a vector leaves the pass: the witness, the containment probe and
@@ -333,6 +337,18 @@ def _bracket_pass(
     lists by degree), and a pair is in a slice when its j is below that
     slice's generator count.  So a bucket adds the smaller slice's pairs
     first, then the rest, and its space spans each slice's brackets in turn.
+
+    Within each of these two parts, a bracket with one entry goes to the
+    space as it comes, and RowSpace.add takes it without elimination unless
+    a longer row has its pivot there.  The others are held until the
+    part's walk ends and are then added shortest first, in a stable sort,
+    so that sparse rows take the pivots (the fill-in rule of Markowitz
+    1957).  On the corpus at n = 5, 33 257 of the 52 753 nonzero brackets
+    have one entry and 15 963 have two, and this order with the one-entry
+    rule cut the residues computed from 53 690 to 20 117.  Holding the
+    one-entry brackets too was no faster and took more memory.  The
+    witness is read from each vector before it is added, and the span, so
+    every rank and reduced row, does not depend on the order.
     """
     probe = n if probe is None else probe
     table = MonomialTable(g)
@@ -350,6 +366,7 @@ def _bracket_pass(
         for smaller in (True, False):
             # no pair is left for the second part when the slices agree
             pairs = iter(walk if smaller or cut < len(gens) else ())
+            held: list[dict[int, int]] = []
             for i, j in zip(pairs, pairs):
                 if (j < cut) != smaller:
                     continue
@@ -360,6 +377,12 @@ def _bracket_pass(
                     key = degs[i] + degs[j], i, j
                     if best is None or key < best[0]:
                         best = key, vec
+                if len(vec) == 1:
+                    space.add(vec)
+                else:
+                    held.append(vec)
+            held.sort(key=len)
+            for vec in held:
                 space.add(vec)
             if (n <= probe) == smaller:
                 rank += space.rank

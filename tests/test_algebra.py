@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ElementSpan,
     FractionRowSpace,
     acyclic_multigraphs,
     build,
@@ -536,20 +537,35 @@ def test_rowspace_reduced_rows_are_canonical(rng, toeplitz):
     assert ra == rb  # insertion order cannot matter
 
 
-def test_rowspace_matches_the_fraction_oracle(rng, corpus):
+def test_rowspace_matches_the_fraction_oracle(rng, corpus, fork2):
     # integer coefficients up to 3 give pivot rows with leads 2 and 3, so
-    # the residue is scaled as well as reduced
+    # the residue is scaled as well as reduced; one-term elements take
+    # RowSpace.add's one-entry rule, with no pivot row at their id, the row
+    # {k: 1} there or a longer row
+    def check(g, adds, probes=()):
+        fast, slow = ElementSpan(g), FractionRowSpace()
+        for terms in adds:
+            assert fast.add(terms) == slow.add(terms)
+        assert fast.rank == slow.rank
+        assert fast.reduced_rows() == slow.reduced_rows()
+        for terms in probes:
+            assert fast.contains(terms) == slow.contains(terms)
+        return fast
+
     for name in ("toeplitz", "two_balloons", "parallel_fork"):
         g = corpus[name]
         for _ in range(10):
-            xs = [random_element(g, rng, terms=4) for _ in range(8)]
-            fast, slow = span(xs[:5]), FractionRowSpace()
-            for x in xs[:5]:
-                slow.add(x.terms)
-            assert fast.rank == slow.rank
-            assert fast.reduced_rows() == slow.reduced_rows()
-            for x in xs[5:] + xs[:2]:
-                assert fast.contains(x.terms) == slow.contains(x.terms)
+            xs = [random_element(g, rng, terms=rng.choice((1, 4))) for _ in range(8)]
+            check(g, [x.terms for x in xs[:5]], [x.terms for x in xs[5:] + xs[:2]])
+    e1, e2 = edge_element(fork2, "e1"), edge_element(fork2, "e2")
+    [m1] = e1.terms
+    assert check(fork2, [{m1: Fraction(0)}]).rank == 0
+    assert check(fork2, [(e1 + e2).terms, {m1: Fraction(0)}]).rank == 1
+    assert check(fork2, [{m1: Fraction(-2)}]).reduced_rows() == [e1.terms]
+    assert check(fork2, [{m1: Fraction(3)}, {m1: Fraction(3)}, {m1: Fraction(-1)}]).rank == 1
+    space = check(fork2, [(e1 + e2).terms, e1.terms])
+    assert space.rank == 2
+    assert space.reduced_rows() == [e1.terms, e2.terms]
 
 
 def test_rowspace_reduces_against_a_pivot_with_lead_two(fork2):

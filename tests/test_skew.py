@@ -446,9 +446,13 @@ def test_bracket_pass_builds_one_witness(corpus, monkeypatch):
 def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
     # each bracket goes into one RowSpace of its bucket, whether or not the
     # degree-2 probe's slice is the bracket slice: the bundle adds what the
-    # pass and the degree-4 ideal slice add, on toeplitz at n = 2, 6 + 15
+    # pass and the degree-4 ideal slice add, on toeplitz at n = 2, 6 + 15.
+    # One-entry brackets are taken without a residue and the rest are added
+    # shortest first, so loop_two_exits at n = 4 computes 3 241 residues,
+    # for adds and containment tests, where arrival order computed 7 689
     calls = Counter()
     _count_calls(monkeypatch, calls, RowSpace, "add")
+    _count_calls(monkeypatch, calls, RowSpace, "_residue")
     cases = (("toeplitz", 2, 21), ("loop_two_exits", 2, 477))
     cases += (("toeplitz", 4, 56), ("loop_two_exits", 4, 7583))
     for name, n, want in cases:
@@ -456,6 +460,8 @@ def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
         calls.clear()
         core = lie_simplicity_evidence(g, n).classification.core
         assert calls["add"] == want, (name, n)
+        if (name, n) == ("loop_two_exits", 4):
+            assert calls["_residue"] == 3241
         calls.clear()
         _bracket_pass(g, n)
         _ideal_space(MonomialTable(g), core, 4)
