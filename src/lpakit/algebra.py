@@ -27,13 +27,17 @@ the terms whose p starts where its q starts, and the bracket pass in skew.py
 evaluates only the generator pairs that have meeting ends.
 
 Coefficients are exact throughout; nothing here ever rounds.
-Element carries Fraction coefficients.  The bracket and ideal passes run on
-an integer core instead: a MonomialTable gives each monomial an id in
-canonical order, built arithmetically from codes of its paths, and
-rewrites monomials onto the basis on those codes with int coefficients,
-and RowSpace reduces int vectors over those ids without fractions.
-Fraction enters only where results cross back into Elements:
-MonomialTable.element and RowSpace.reduced_rows.
+Element carries Fraction coefficients, but its product runs on ints: each
+operand is put over the lcm of its own denominators, the raw product and
+its rewriting (_rewrite, shared with normal_form) work on the int
+numerators, and each term of the result becomes one Fraction over the
+product of the two lcms.  The bracket and ideal passes run on an integer
+core: a MonomialTable gives each monomial an id in canonical order, built
+arithmetically from codes of its paths, and rewrites monomials onto the
+basis on those codes with int coefficients, and RowSpace reduces int
+vectors over those ids without fractions.  There too Fraction enters only
+where results cross back into Elements: MonomialTable.element and
+RowSpace.reduced_rows.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .classify import is_hereditary
@@ -112,11 +116,6 @@ def is_basis_monomial(g: Graph, m: Monomial) -> bool:
     return g.least_out_edge[g.edge_map[f].source] != f
 
 
-def _shorten(g: Graph, p: Path) -> Path:
-    last = g.edge_map[p.edges[-1]]
-    return Path(p.source, last.source, p.edges[:-1])
-
-
 def _extend(p: Path, edge_name: str, target: str) -> Path:
     return Path(p.source, target, p.edges + (edge_name,))
 
@@ -144,24 +143,38 @@ def normal_form(
     Work items are taken last-in-first-out; the rewriting is confluent, so
     any order gives the same result.
     """
-    out: dict[Monomial, Scalar] = {}
-    work = [(m, as_scalar(c)) for m, c in items]
+    return _rewrite(g, [(m, as_scalar(c)) for m, c in items])
+
+
+def _rewrite(g: Graph, work: list[tuple[Monomial, Scalar | int]]) -> dict[Monomial, Scalar | int]:
+    """normal_form's rewriting, which consumes work, on coefficients of one
+    exact type: Fraction, or int numerators for Element.__mul__.  A monomial
+    off the basis ends with the special edge f of v on both sides (the test
+    of is_basis_monomial); it becomes p1 q1^* minus p1 e (q1 e)^* over the
+    other edges e leaving v, where p1 and q1 are its paths without f."""
+    edge_map, least, out_edges = g.edge_map, g.least_out_edge, g._out
+    out: dict[Monomial, Scalar | int] = {}
     while work:
         m, c = work.pop()
         if not c:
             continue
-        if is_basis_monomial(g, m):
-            _add_term(out, m, c)
+        p, q = m
+        if p.edges and q.edges and (f := p.edges[-1]) == q.edges[-1] \
+                and least[v := edge_map[f].source] == f:
+            p1, q1 = Path(p.source, v, p.edges[:-1]), Path(q.source, v, q.edges[:-1])
+            work.append((Monomial(p1, q1), c))
+            for e in out_edges[v]:
+                if e.name != f:
+                    work.append((Monomial(Path(p1.source, e.target, p1.edges + (e.name,)),
+                                          Path(q1.source, e.target, q1.edges + (e.name,))), -c))
             continue
-        f = m.p.edges[-1]
-        v = g.edge_map[f].source
-        p1, q1 = _shorten(g, m.p), _shorten(g, m.q)
-        work.append((Monomial(p1, q1), c))
-        for e in g.out_edges(v):
-            if e.name == f:
-                continue
-            work.append((Monomial(_extend(p1, e.name, e.target),
-                                  _extend(q1, e.name, e.target)), -c))
+        acc = out.get(m)  # _add_term, inlined
+        if acc is None:
+            out[m] = c
+        elif acc := acc + c:
+            out[m] = acc
+        else:
+            del out[m]
     return out
 
 
@@ -231,18 +244,44 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._same_graph(other)
-        # m1 m2 vanishes unless q1 and p2 meet, so unless they share a source
-        by_source: dict[str, list[tuple[Monomial, Scalar]]] = {}
-        for item in other.terms.items():
-            by_source.setdefault(item[0].p.source, []).append(item)
-        raw: dict[Monomial, Scalar] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in by_source.get(m1.q.source, ()):
-                m = _raw_mul(m1, m2)
-                if m is not None:
-                    acc = raw.get(m)
-                    raw[m] = c1 * c2 if acc is None else acc + c1 * c2
-        return Element.from_terms(self.graph, raw.items())
+        # Each operand is put over the lcm of its denominators, d1 and d2:
+        # the raw product and its rewriting run on int numerators, and each
+        # term of the result is one Fraction(n, d1 d2).  m1 m2 vanishes
+        # unless q1 and p2 meet (_raw_mul, inlined): they share a source and
+        # one is a prefix of the other.  A right term is kept as the row
+        # (edges of p2, its length, its target, q2, numerator).
+        d1 = lcm(*[c.denominator for c in self.terms.values()])
+        d2 = lcm(*[c.denominator for c in other.terms.values()])
+        by_source: dict[str, list[tuple]] = {}
+        for (p2, q2), c2 in other.terms.items():
+            by_source.setdefault(p2.source, []).append(
+                (p2.edges, len(p2.edges), p2.target, q2, c2.numerator * (d2 // c2.denominator)))
+        raw: dict[Monomial, int] = {}
+        for (p1, q1), c1 in self.terms.items():
+            rows = by_source.get(q1.source)
+            if rows is None:
+                continue
+            n1 = c1.numerator * (d1 // c1.denominator)
+            a = q1.edges
+            la = len(a)
+            for b, lb, target, q2, n2 in rows:
+                if la == lb:
+                    if a != b:
+                        continue
+                    m = Monomial(p1, q2)
+                elif la < lb:
+                    if b[:la] != a:
+                        continue
+                    m = Monomial(Path(p1.source, target, p1.edges + b[la:]), q2)
+                else:
+                    if a[:lb] != b:
+                        continue
+                    m = Monomial(p1, Path(q2.source, q1.target, q2.edges + a[lb:]))
+                acc = raw.get(m)
+                raw[m] = n1 * n2 if acc is None else acc + n1 * n2
+        d = d1 * d2
+        terms = _rewrite(self.graph, list(raw.items()))
+        return Element(self.graph, {m: Fraction(n, d) for m, n in terms.items()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

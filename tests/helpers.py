@@ -560,6 +560,24 @@ def raw_product_all_pairs(x: Element, y: Element) -> dict:
     return raw
 
 
+def element_mul_fractions(x: Element, y: Element) -> Element:
+    """x * y as Element.__mul__ computed it before it worked on int
+    numerators: each term paired only with the terms whose p starts where its
+    q starts, _raw_mul on each such pair, one Fraction product per pair, and
+    the raw sums rewritten by normal_form on Fractions."""
+    by_source: dict = {}
+    for item in y.terms.items():
+        by_source.setdefault(item[0].p.source, []).append(item)
+    raw: dict = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in by_source.get(m1.q.source, ()):
+            m = _raw_mul(m1, m2)
+            if m is not None:
+                acc = raw.get(m)
+                raw[m] = c1 * c2 if acc is None else acc + c1 * c2
+    return Element.from_terms(x.graph, raw.items())
+
+
 def element_mul_all_pairs(x: Element, y: Element) -> Element:
     """x * y by raw_product_all_pairs and normal_form_oracle."""
     return Element(x.graph, normal_form_oracle(x.graph, raw_product_all_pairs(x, y).items()))

@@ -5,6 +5,7 @@ import random
 import sys
 import weakref
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from helpers import (
     cycles_oracle,
     dimension_oracle,
     element_mul_all_pairs,
+    element_mul_fractions,
     intern,
     load,
     multigraphs,
@@ -328,6 +330,12 @@ def _assert_product_matches_the_all_pairs_oracle(x: Element, y: Element) -> None
     assert str(got) == str(want)
 
 
+def _assert_product_matches_the_fraction_oracle(x: Element, y: Element) -> None:
+    got = list((x * y).terms.items())
+    assert got == list(element_mul_fractions(x, y).terms.items())
+    assert all(type(c) is Fraction and c for _, c in got)
+
+
 def test_product_with_cancelling_raw_terms_matches_the_oracle(corpus):
     cases = 0
     for g in corpus.values():
@@ -335,6 +343,8 @@ def test_product_with_cancelling_raw_terms_matches_the_oracle(corpus):
             for x, y in _cancelling_factors(g, m):
                 assert any(not c for c in raw_product_all_pairs(x, y).values())
                 _assert_product_matches_the_all_pairs_oracle(x, y)
+                x, y = x.scale(Fraction(-7, 999_983)), y.scale(Fraction(5, 6))
+                _assert_product_matches_the_fraction_oracle(x, y)
                 cases += 1
     assert cases > 100
 
@@ -356,6 +366,49 @@ def test_product_matches_the_all_pairs_oracle(g, data):
         x, y = x + cx, y + cy
     _assert_product_matches_the_all_pairs_oracle(x, y)
     _assert_product_matches_the_all_pairs_oracle(y, x)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=7), st.data())
+def test_product_matches_the_fraction_oracle(g, data):
+    # the product on int numerators over d1 d2 against one Fraction product
+    # per pair of terms: same terms, in the same order, all Fractions
+    pool = basis_monomials(g, 3)
+    coefficient = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+    terms = st.lists(st.tuples(st.sampled_from(pool), coefficient), max_size=6)
+    x = Element.from_terms(g, data.draw(terms))
+    y = Element.from_terms(g, data.draw(terms))
+    cancelling = _cancelling_factors(g, data.draw(st.sampled_from(pool)))
+    if cancelling and data.draw(st.booleans()):
+        cx, cy = data.draw(st.sampled_from(cancelling))
+        x, y = x + cx.scale(data.draw(coefficient)), y + cy
+    for a, b in ((x, y), (y, x), (x, zero(g)), (zero(g), y)):
+        _assert_product_matches_the_fraction_oracle(a, b)
+
+
+def test_product_past_64_bit_denominators_is_exact(toeplitz):
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71]
+    pool = basis_monomials(toeplitz, 4)
+    assert len(pool) >= len(primes)
+    # denominators the first 20 primes, so each operand's lcm passes 2**64
+    x = Element.from_terms(toeplitz, [(m, Fraction(i + 1, d))
+                                      for i, (m, d) in enumerate(zip(pool, primes))])
+    y = Element.from_terms(toeplitz, [(m, Fraction(-1, d)) for m, d in zip(reversed(pool), primes)])
+    for a in (x, y):
+        assert lcm(*(c.denominator for c in a.terms.values())) > 2**64
+    _assert_product_matches_the_fraction_oracle(x, y)
+    _assert_product_matches_the_fraction_oracle(y, x)
+    assert x * y == element_mul_all_pairs(x, y)
+    assert any(c.denominator > 2**64 for c in (x * y).terms.values())
+
+
+def test_normal_form_of_int_items_has_fraction_coefficients(toeplitz, fork2):
+    for g in (toeplitz, fork2):
+        projections = [Monomial(make_path(g, [e]), make_path(g, [e])) for e in g.edge_map]
+        for m in basis_monomials(g, 2) + projections:  # e e^* rewrites when e is special
+            out = normal_form(g, [(m, 3), (m, -1)])
+            assert out and all(type(c) is Fraction for c in out.values())
+            assert list(out.items()) == list(normal_form(g, [(m, Fraction(2))]).items())
 
 
 def test_monomial_mul_agrees_with_element_mul(rng, toeplitz):
