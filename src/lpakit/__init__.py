@@ -14,7 +14,6 @@ from .graph import (
     MalformedLine,
     Path,
     parse_graph,
-    serialize_graph,
 )
 from .classify import (
     Classification,
@@ -35,7 +34,6 @@ from .algebra import (
     make_path,
     normal_form,
     vertex_element,
-    vertex_sum,
 )
 from .skew import (
     EvidenceBundle,
@@ -63,7 +61,6 @@ __all__ = [
     "GraphError",
     "MalformedLine",
     "parse_graph",
-    "serialize_graph",
     "Classification",
     "classify",
     "hs_closure",
@@ -80,7 +77,6 @@ __all__ = [
     "make_path",
     "normal_form",
     "vertex_element",
-    "vertex_sum",
     "EvidenceBundle",
     "bracket",
     "bracket_in_ideal",

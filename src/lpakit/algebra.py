@@ -10,34 +10,16 @@ e^* for every edge e, subject to
                                       for every non-sink v
 
 It is spanned by monomials p q^* where p and q are paths with the same
-range (vertices count as paths of length zero).  Relation (4) makes that
-spanning set dependent; a basis is obtained by fixing, for every non-sink
-v, its lexicographically least outgoing edge g.least_out_edge[v] ("the
-special edge") and discarding the monomials in which p and q both end with
-that edge.  Any such monomial rewrites, by (4) applied at the junction,
-into one monomial of degree two less plus same-degree monomials whose final
-edges are not special; the rewriting therefore terminates, and since a
-monomial has at most one reducible junction the result does not depend on
-the order in which terms are processed.
+range (vertices count as paths of length zero).  Where each rule lives:
 
-A product p q^* . r s^* is nonzero only when q and r meet, that is when one
-of them is a prefix of the other; q^* r then collapses to the rest of the
-longer path (_raw_mul).  Element.__mul__ therefore pairs each term only with
-the terms whose p starts where its q starts, and the bracket pass in skew.py
-evaluates only the generator pairs that have meeting ends.
+* is_basis_monomial: the basis that relation (4) leaves;
+* _rewrite: the rewriting onto it, for normal_form and Element.__mul__;
+* _raw_mul: the product of two monomials, zero unless q1 and p2 meet;
+* Element: exact Fraction combinations, whose product runs on ints;
+* MonomialTable and RowSpace: the integer core of the bracket and ideal
+  passes, ids built from path codes and fraction-free row reduction.
 
 Coefficients are exact throughout; nothing here ever rounds.
-Element carries Fraction coefficients, but its product runs on ints: each
-operand is put over the lcm of its own denominators, the raw product and
-its rewriting (_rewrite, shared with normal_form) work on the int
-numerators, and each term of the result becomes one Fraction over the
-product of the two lcms.  The bracket and ideal passes run on an integer
-core: a MonomialTable gives each monomial an id in canonical order, built
-arithmetically from codes of its paths, and rewrites monomials onto the
-basis on those codes with int coefficients, and RowSpace reduces int
-vectors over those ids without fractions.  There too Fraction enters only
-where results cross back into Elements: MonomialTable.element and
-RowSpace.reduced_rows.
 """
 
 from __future__ import annotations
@@ -106,8 +88,9 @@ def monomial_key(m: Monomial) -> tuple:
 
 
 def is_basis_monomial(g: Graph, m: Monomial) -> bool:
-    """Basis test: p and q must not both end with the special edge of its
-    source vertex (they trivially pass when either path is a vertex)."""
+    """Basis test, from relation (4): p and q must not both end with the
+    special edge g.least_out_edge[v] of one vertex v, its least outgoing
+    edge (they trivially pass when either path is a vertex)."""
     if not m.p.edges or not m.q.edges:
         return True
     f = m.p.edges[-1]
@@ -120,38 +103,24 @@ def _extend(p: Path, edge_name: str, target: str) -> Path:
     return Path(p.source, target, p.edges + (edge_name,))
 
 
-def _add_term(terms: dict[Monomial, Scalar], m: Monomial, c: Scalar) -> None:
-    """terms[m] += c, dropping m when the sum is 0.  A new c is stored as it
-    is: 0 + c would take Fraction's slow mixed-type path."""
-    acc = terms.get(m)
-    if acc is None:
-        terms[m] = c
-        return
-    acc += c
-    if acc:
-        terms[m] = acc
-    else:
-        del terms[m]
-
-
 def normal_form(
     g: Graph,
     items: Iterable[tuple[Monomial, Scalar]],
 ) -> dict[Monomial, Scalar]:
-    """Rewrite a linear combination of monomials onto the basis.
-
-    Work items are taken last-in-first-out; the rewriting is confluent, so
-    any order gives the same result.
-    """
+    """Rewrite a linear combination of monomials onto the basis (_rewrite)."""
     return _rewrite(g, [(m, as_scalar(c)) for m, c in items])
 
 
 def _rewrite(g: Graph, work: list[tuple[Monomial, Scalar | int]]) -> dict[Monomial, Scalar | int]:
     """normal_form's rewriting, which consumes work, on coefficients of one
     exact type: Fraction, or int numerators for Element.__mul__.  A monomial
-    off the basis ends with the special edge f of v on both sides (the test
-    of is_basis_monomial); it becomes p1 q1^* minus p1 e (q1 e)^* over the
-    other edges e leaving v, where p1 and q1 are its paths without f."""
+    off the basis (is_basis_monomial) ends with the special edge f of v on
+    both sides; by relation (4) it becomes p1 q1^* minus p1 e (q1 e)^* over
+    the other edges e leaving v, where p1 and q1 are its paths without f:
+    one monomial of degree two less and basis monomials of the same degree,
+    so the rewriting terminates.  A monomial has at most one reducible
+    junction, so the order of the work items (last in, first out) does not
+    change the result."""
     edge_map, least, out_edges = g.edge_map, g.least_out_edge, g._out
     out: dict[Monomial, Scalar | int] = {}
     while work:
@@ -168,7 +137,7 @@ def _rewrite(g: Graph, work: list[tuple[Monomial, Scalar | int]]) -> dict[Monomi
                     work.append((Monomial(Path(p1.source, e.target, p1.edges + (e.name,)),
                                           Path(q1.source, e.target, q1.edges + (e.name,))), -c))
             continue
-        acc = out.get(m)  # _add_term, inlined
+        acc = out.get(m)
         if acc is None:
             out[m] = c
         elif acc := acc + c:
@@ -217,7 +186,13 @@ class Element:
         self._same_graph(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            _add_term(terms, m, c)
+            acc = terms.get(m)
+            if acc is None:
+                terms[m] = c
+            elif acc := acc + c:
+                terms[m] = acc
+            else:
+                del terms[m]
         return Element(self.graph, terms)
 
     def __sub__(self, other: "Element") -> "Element":
@@ -226,7 +201,13 @@ class Element:
         self._same_graph(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            _add_term(terms, m, -c)
+            acc = terms.get(m)
+            if acc is None:
+                terms[m] = -c
+            elif acc := acc - c:
+                terms[m] = acc
+            else:
+                del terms[m]
         return Element(self.graph, terms)
 
     def __neg__(self) -> "Element":
@@ -239,17 +220,17 @@ class Element:
         return Element(self.graph, {m: c * x for m, x in self.terms.items()})
 
     def __mul__(self, other):
+        """The product.  Each operand is put over the lcm of its denominators,
+        d1 and d2: the raw product and its rewriting (_rewrite) run on int
+        numerators, and each term of the result is one Fraction(n, d1 d2).
+        m1 m2 vanishes unless q1 and p2 meet (_raw_mul, inlined).  A right
+        term is kept as the row (edges of p2, its length, its target, q2,
+        numerator)."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._same_graph(other)
-        # Each operand is put over the lcm of its denominators, d1 and d2:
-        # the raw product and its rewriting run on int numerators, and each
-        # term of the result is one Fraction(n, d1 d2).  m1 m2 vanishes
-        # unless q1 and p2 meet (_raw_mul, inlined): they share a source and
-        # one is a prefix of the other.  A right term is kept as the row
-        # (edges of p2, its length, its target, q2, numerator).
         d1 = lcm(*[c.denominator for c in self.terms.values()])
         d2 = lcm(*[c.denominator for c in other.terms.values()])
         by_source: dict[str, list[tuple]] = {}
@@ -367,13 +348,6 @@ def edge_element(g: Graph, e: str) -> Element:
 def edge_star_element(g: Graph, e: str) -> Element:
     return edge_element(g, e).star()
 
-def vertex_sum(g: Graph) -> Element:
-    """The sum of all vertices: the multiplicative identity."""
-    total = zero(g)
-    for v in g.vertices:
-        total = total + vertex_element(g, v)
-    return total
-
 
 # -- bases and dimension ------------------------------------------------------
 
@@ -453,29 +427,15 @@ class MonomialTable:
     every code of length <= d, so ids order by degree, then a, then b, as
     monomial_key does, and the ids of degree d lie in [w^2, 2 w^2).
 
-    The table works on codes.  A product cuts and joins them
-    (skew._generator_bracket), the basis test compares last digits and the
-    rewrite rule drops them (_expansion), and no path is built on the way.
-    An id is decoded (_decode) only where a vector leaves the integer core:
-    star, monomial and so element.
-
-    Normal forms have int coefficients: rewriting a monomial only ever
-    produces coefficients 1 and -1, so no Fraction is needed inside.
-    Fractions enter at the Element boundary, in element and in
-    RowSpace.reduced_rows.  A table belongs to the call that created it and
-    to the RowSpaces built on it, and is never stored on the graph.  In the
-    bracket pass that call is the whole pass (skew._bracket_pass), which
-    empties _normal at each bucket of grades: it is the memo of the normal
-    forms of the non-basis products one bucket meets, in skew coordinates.
-
-    Codes and a product and rewrite rule of their own, apart from _raw_mul
-    and normal_form, because each merge measured slower on a shared 2-vCPU
-    VM (Python 3.11): storing Monomials here with a shared _raw_mul and
-    rewrite made the corpus bracket pass at n=5 18-30% slower, and Element
-    arithmetic through a table per call nearly doubled its set-up time,
-    with peak RSS 36 -> 52 MB.  Without _path_objects,
-    bracket_space(loop_two_exits, 5) took 1.5 s instead of 1.24 s and
-    60 MB of max RSS instead of 48.
+    The table works on codes and int coefficients: a product cuts and joins
+    codes (skew._generator_bracket) and the rewrite rule drops digits
+    (_expansion).  Ids are decoded (_decode) only where a vector leaves the
+    integer core, in star, monomial and element, and Fractions are made
+    only in element and RowSpace.reduced_rows.  A table belongs to the call
+    that made it and the RowSpaces built on it, and is never stored on the
+    graph.  Merging its rule with _raw_mul and normal_form, and dropping the
+    decoded-path cache _path_objects, both measured slower (ROADMAP,
+    settled decisions).
     """
 
     def __init__(self, g: Graph):
@@ -493,7 +453,6 @@ class MonomialTable:
             self._others[self._edge_rank[f]] = tuple(others)
         self._widths = [2 * self._base]  # w = 2 B^(d+1) for each degree d
         self._powers = [1]  # B^t
-        self._normal: dict[int, dict[int, int]] = {}
         self._path_objects: dict[int, Path] = {}
 
     def _widen(self, d: int) -> None:

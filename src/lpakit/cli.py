@@ -472,7 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--truncate", type=_int_at_least(0))
     a.add_argument("--fiber", help="edge name for the 2x2 model check")
     a.add_argument("--cycle-check", type=int, metavar="D",
-                   help="verify the d x d Laurent matrix model of the standard cycle")
+                   help="verify the D x D Laurent matrix model of the built-in standard "
+                        "D-cycle, 1 <= D <= 6; it does not read the file's edges")
     a.set_defaults(fn=cmd_algebra)
     return p
 

@@ -12,7 +12,7 @@ The text format is line based:
 Names match [A-Za-z0-9_]+, tokens are separated by single spaces, blank
 lines and lines starting with '#' are ignored.  Lines break at '\n' only;
 surrounding whitespace, '\r' included, is stripped.
-parse_graph/serialize_graph round-trip exactly.
+parse_graph reads it, and serialize_graph in tests/helpers.py writes it back.
 """
 
 from __future__ import annotations
@@ -289,13 +289,6 @@ def _malformed(text: str) -> MalformedLine:
             if not NAME_RE.match(tok):
                 return MalformedLine(lineno, raw, f"bad name {tok!r}")
     raise AssertionError("no malformed line in a text that failed to parse")
-
-
-def serialize_graph(g: Graph) -> str:
-    """Inverse of parse_graph: one declaration per line, original order."""
-    lines = [f"vertex {v}" for v in g.vertices]
-    lines += [f"edge {e.name} {e.source} {e.target}" for e in g.edges]
-    return "\n".join(lines) + "\n"
 
 
 # -- vertex-set queries ----------------------------------------------------

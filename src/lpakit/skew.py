@@ -2,49 +2,18 @@
 
 The involution fixes vertices and swaps e with e^*.  An element x is skew
 when star(x) = -x; the skew elements form a Lie algebra under the
-commutator [a, b] = ab - ba, and the objects of interest are truncated
-pictures of the commutator space [K, K]:
+commutator [a, b] = ab - ba.  This module computes truncated pictures of
+the commutator space [K, K], on algebra's integer core:
 
-* skew_basis: the degree-bounded slice of K has basis {m - m^* : m a basis
-  monomial with p != q}, one per star-orbit,
-* bracket_space: the row-reduced span of all pairwise commutators of that
-  slice,
-* containment of the bracket space in the ideal generated by the core of
-  an almost-simple decomposition,
-* the 2x2 matrix-unit model carried by a fiber.
-
-One function, _pairs_by_grade, lists the generator pairs whose ends meet,
-the only pairs whose bracket can be nonzero.  Every commutator that the
-bracket space, the evidence bundle and the containment probe read comes
-from one pass over them, _bracket_pass, which evaluates each pair once.
-Containment is tested in one place, _containment: each bucket of the pass
-against one ideal slice.  first_nonzero_bracket sorts the same pairs by
-total degree and stops at the first nonzero one.
-
-The generators and the pass run on algebra's integer core.  A generator
-m - m^* is a record of the id of m = p q^* in a MonomialTable made for the
-call and of the codes, lengths and sources of p and q (_generators).  A
-bracket is an int vector in skew coordinates: its entry c at an id
-k < star(k) stands for c (k - k^*).  It is computed on the codes, with no
-path built, sliced or hashed (_generator_bracket).
-The algebra is graded mod 2 by the vertices and edges (_grades), a bracket
-is homogeneous, and brackets of different grades have disjoint supports.
-So the pass walks the pairs a bucket of whole grades at a time on one
-MonomialTable, each bucket with a fraction-free RowSpace and a memo of
-normal forms of its own that are dropped when the bucket is done: it holds
-the products and rows of one bucket, not of the whole slice, and ranks add
-up over the buckets.  A bucket adds the smaller of the bracket and probe
-slices first, so one space serves both.  Within each of these two parts a
-one-entry bracket, which RowSpace takes without elimination, is added as
-it comes, and the rest are added after the part's walk, shortest first:
-63% of the nonzero brackets of the corpus at n = 5 have one entry, and a
-longer row added first would take pivots that they then must clear.
-Taking vectors to monomial ids (_monomial_ids) is linear, injective and
-keeps each vector's least id, so it keeps ranks and pivots; it is done only
-where a vector leaves the pass: the witness, the containment probe and
-bracket_space, and only there are ids decoded.  Elements are built only for
-what is returned: skew_basis's list, the witness and the reduced rows of
-bracket_space.
+* _generators: the skew generators of degree <= n, as records of
+  MonomialTable ids and path codes (skew_basis gives them as Elements);
+* _pairs_by_grade: the pairs whose bracket can be nonzero, by grade;
+* _generator_bracket: one such bracket in skew coordinates;
+* _bracket_pass: every pair once, a bucket of grades at a time, for
+  bracket_space and _containment, the one containment test;
+* _monomial_ids: a bracket in monomial ids, where it leaves the pass;
+* first_nonzero_bracket: the first nonzero bracket in degree order;
+* fiber_m2_iso: the 2x2 matrix-unit model carried by a fiber.
 
 Everything is exact and finite; no function here claims to verify a
 statement about the full infinite-dimensional algebra.
@@ -108,11 +77,10 @@ def _generators(table: MonomialTable, n: int) -> list[tuple]:
     """The record (k, code(p), |p|, src(p), code(q), |q|, src(q)) of each
     basis monomial m = p q^* of degree <= n with k < star(k), in id order:
     k is the id of m, its paths are given by code, length and source rank
-    (MonomialTable._coded), and it is one m of each star-orbit {m, m^*}
-    with m != m^*, the smaller one, which is the one with code(p) <
-    code(q).  Id order is monomial_key order (see MonomialTable), so this
-    lists generators by degree.  The table's widths are widened to degree
-    2n, which the brackets of two generators reach."""
+    (MonomialTable._coded), and k < star(k) is code(p) < code(q).  Id
+    order is monomial_key order (see MonomialTable), so this lists
+    generators by degree.  The table's widths are widened to degree 2n,
+    which the brackets of two generators reach."""
     table._widen(2 * n)
     records = []
     for m in basis_monomials(table.graph, n):
@@ -156,24 +124,24 @@ class BracketWitness:
     value: Element
 
 
-def _generator_bracket(table: MonomialTable, x: tuple, y: tuple) -> dict[int, int]:
+def _generator_bracket(table: MonomialTable, x: tuple, y: tuple, normal: dict) -> dict[int, int]:
     """[m - m^*, n - n^*] in skew coordinates, for the generator records x
-    of m and y of n (_generators): the coefficient of k - k^* at each id
+    of m and y of n (_generators): the coefficient c of k - k^* at each id
     k < star(k).
 
     Both generators are skew, so yx = (xy)^* and [x, y] = xy - (xy)^*: the
     four products of xy, summed with their signs, less their stars.  Each
     is a product p q^* . r s^* of paths given by code, length and source,
-    and it is computed on the codes.  It is nonzero when q and r leave one
-    vertex and one is a prefix of the other: the longer one's code, less
-    its last t digits, is the shorter one's (t being the difference of
-    their lengths).  Then q^* r is the longer one's last t digits, joined
-    onto p when r is the longer, onto s otherwise.  A basis term is folded
-    onto the lower of its id and its star's, as _fold does, and a non-basis
-    one's folded expansion is kept in the table's memo, table._normal.
+    computed on the codes alone: no path is built, sliced or hashed.  It is
+    nonzero when q and r leave one vertex and one is a prefix of the other:
+    the longer one's code, less its last t digits, is the shorter one's (t
+    being the difference of their lengths).  Then q^* r is the longer one's
+    last t digits, joined onto p when r is the longer, onto s otherwise.  A
+    basis term is folded onto the lower of its id and its star's, as _fold
+    does, and a non-basis one's folded expansion is kept in normal, the
+    caller's memo of them by id, {k: {k': c}}.
     """
-    base, powers, widths = table._base, table._powers, table._widths
-    others, normal = table._others, table._normal
+    base, powers, widths, others = table._base, table._powers, table._widths, table._others
     xp, xq, yr, ys = x[1:4], x[4:], y[1:4], y[4:]
     acc: dict[int, int] = {}
     for (pc, pl, ps), (qc, ql, qs), (rc, rl, rs), (sc, sl, ss), sign in (
@@ -226,7 +194,11 @@ def _fold(terms: list[tuple]) -> dict[int, int]:
 
 def _monomial_ids(table: MonomialTable, vec: dict[int, int]) -> dict[int, int]:
     """A skew-coordinate vector as an id vector, {k: c, star(k): -c} for
-    each entry, in increasing id order."""
+    each entry, in increasing id order.  The map is linear and injective and
+    keeps each vector's least id, so it keeps ranks and pivots.  It is used
+    only where a vector leaves the bracket pass (the witness, the
+    containment probe and bracket_space), and only there are ids decoded
+    and Elements built."""
     star = table.star
     return dict(sorted([*vec.items(), *((star(k), -c) for k, c in vec.items())]))
 
@@ -273,12 +245,11 @@ def _pairs_by_grade(table: MonomialTable, gens: list[tuple]) -> dict[int, list[i
 
     A product p q^* . r s^* vanishes unless q and r meet (_raw_mul), so a
     pair whose ends do not meet brackets to 0.  The ends of m - m^* with
-    m = p q^* are the paths p and q; two paths meet when one is a prefix of
-    the other.  Paths are keyed by their codes (_prefixes), which no two
-    share.  The index lists, for each path, the generators that have it as
-    an end and the generators that have an end beginning with it.  The
-    records must come from _generators on this table, whose powers of the
-    base _prefixes reads.
+    m = p q^* are the paths p and q.  Paths are keyed by their codes
+    (_prefixes), which no two share.  The index lists, for each path, the
+    generators that have it as an end and the generators that have an end
+    beginning with it.  The records must come from _generators on this
+    table, whose powers of the base _prefixes reads.
     """
     grades = _grades(table, gens)
     ends = [(_prefixes(table, *x[1:4]), _prefixes(table, *x[4:])) for x in gens]
@@ -315,40 +286,28 @@ def _bracket_pass(
     """The rank of the span of all brackets of the degree-<=n skew slice
     and its first nonzero bracket in (total degree, i, j) order.
 
-    The pairs of _pairs_by_grade are walked a bucket of whole grades at a
-    time, within a grade by i, then j, on one MonomialTable.  Each bucket
-    has one RowSpace and starts the table's memo of normal forms
-    (_generator_bracket) anew, so the pass holds the products and rows of
-    one bucket at a time.  Every product of a pair has the pair's grade
-    (_grades), so no memo entry is read across buckets, and brackets of
-    different grades have disjoint supports, so the ranks of the buckets
-    add up to the rank of the span.  The witness is built once, after the
-    walk, from the vector of the least key.
-
-    A bucket takes grades until it has as many pairs as there are
-    generators.  One grade per bucket was no faster in interleaved runs on
-    a shared 2-vCPU VM (Python 3.11): within 1.5% on the corpus evidence at
-    n = 4 and 5, and 1-6% slower at n = 4 on a random graph of 300 vertices
-    and 360 edges, whose pass has 15 526 grades.
+    The pairs of _pairs_by_grade are walked on one MonomialTable a bucket
+    of whole grades at a time, and within a grade by i, then j.  A bucket
+    takes grades until it has as many pairs as there are generators (one
+    grade per bucket measured no faster), and has one RowSpace and a memo
+    of normal forms (_generator_bracket) of its own, so the pass holds the
+    products and rows of one bucket at a time.  Every product of a pair has
+    the pair's grade (_grades), so no memo entry is read across buckets,
+    and brackets of different grades have disjoint supports, so the
+    buckets' ranks add up.  The witness is built once, after the walk, from
+    the vector of the least key.
 
     visit, when given, sees each bucket's RowSpace when it spans the
-    bucket's degree-<=probe brackets (probe defaults to n), and reads it
-    then.  The slices' generators are prefixes of one list (_generators
-    lists by degree), and a pair is in a slice when its j is below that
-    slice's generator count.  So a bucket adds the smaller slice's pairs
-    first, then the rest, and its space spans each slice's brackets in turn.
+    bucket's degree-<=probe brackets (probe defaults to n).  The slices'
+    generators are prefixes of one list (_generators lists by degree), so
+    a bucket adds the pairs of the smaller slice (j below its generator
+    count) first, then the rest, and its space spans each slice in turn.
 
-    Within each of these two parts, a bracket with one entry goes to the
-    space as it comes, and RowSpace.add takes it without elimination unless
-    a longer row has its pivot there.  The others are held until the
-    part's walk ends and are then added shortest first, in a stable sort,
-    so that sparse rows take the pivots (the fill-in rule of Markowitz
-    1957).  On the corpus at n = 5, 33 257 of the 52 753 nonzero brackets
-    have one entry and 15 963 have two, and this order with the one-entry
-    rule cut the residues computed from 53 690 to 20 117.  Holding the
-    one-entry brackets too was no faster and took more memory.  The
-    witness is read from each vector before it is added, and the span, so
-    every rank and reduced row, does not depend on the order.
+    Within each of these two parts a one-entry bracket, which RowSpace.add
+    takes without elimination, is added as it comes, and the others after
+    the part's walk, shortest first in a stable sort, so that sparse rows
+    take the pivots (Markowitz 1957).  The witness is read from each vector
+    before it is added, and the span does not depend on the order.
     """
     probe = n if probe is None else probe
     table = MonomialTable(g)
@@ -361,7 +320,7 @@ def _bracket_pass(
         walk: list[int] = []
         while by_grade and len(walk) < 2 * len(gens):
             walk += by_grade.popitem()[1]
-        table._normal = {}
+        normal: dict[int, dict[int, int]] = {}
         space = RowSpace(table)
         for smaller in (True, False):
             # no pair is left for the second part when the slices agree
@@ -370,7 +329,7 @@ def _bracket_pass(
             for i, j in zip(pairs, pairs):
                 if (j < cut) != smaller:
                     continue
-                vec = _generator_bracket(table, gens[i], gens[j])
+                vec = _generator_bracket(table, gens[i], gens[j], normal)
                 if not vec:
                     continue
                 if j < main_gens:  # and so i < main_gens
@@ -418,8 +377,8 @@ def bracket_space(g: Graph, n: int) -> BracketSpace:
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
     """The first nonvanishing commutator of skew generators in (total degree,
     i, j) order: the pairs of _pairs_by_grade, sorted, evaluated on one table
-    up to the first nonzero one."""
-    table = MonomialTable(g)
+    with one memo up to the first nonzero one."""
+    table, normal = MonomialTable(g), {}
     gens = _generators(table, n)
     degs = [x[2] + x[5] for x in gens]
     pairs = sorted(
@@ -428,7 +387,7 @@ def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:
         for i, j in zip(flat[::2], flat[1::2])
     )
     for _, i, j in pairs:
-        vec = _generator_bracket(table, gens[i], gens[j])
+        vec = _generator_bracket(table, gens[i], gens[j], normal)
         if vec:
             return _witness(table, gens[i][0], gens[j][0], vec)
     return None
@@ -502,8 +461,7 @@ def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
     The bracket space is taken at degree n, the ideal slice at n + slack;
     brackets of degree-n skews reach degree 2n, so callers should keep
     slack >= n for a conclusive check, as the evidence bundle's probe does
-    with n = 2 and slack = 2.  Each bucket of the bracket pass is tested
-    against one ideal slice before the bucket is dropped (_containment).
+    with n = 2 and slack = 2 (_containment).
     """
     wlist = list(ws)
     cls = classify(g)

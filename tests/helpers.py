@@ -85,6 +85,13 @@ def build(vertices, edges=()) -> Graph:
     return Graph(list(vertices), [tuple(e) for e in edges])
 
 
+def serialize_graph(g: Graph) -> str:
+    """Inverse of parse_graph: one declaration per line, original order."""
+    lines = [f"vertex {v}" for v in g.vertices]
+    lines += [f"edge {e.name} {e.source} {e.target}" for e in g.edges]
+    return "\n".join(lines) + "\n"
+
+
 def parse_graph_two_pass(text: str) -> Graph:
     """The parser that parse_graph replaced, lines broken at '\\n': each
     token matched against NAME_RE on its line, then every name checked
@@ -949,9 +956,9 @@ def single_space_bracket_pass(g: Graph, n: int, probe: int = -1):
     main_gens, low_gens = len(main), len(low_ids)
     space = RowSpace(table)
     low = space if low_gens == main_gens else RowSpace(table)
-    witness = None
+    witness, normal = None, {}
     for i, j in degree_ordered_pairs(table, gens):
-        vec = _generator_bracket(table, gens[i], gens[j])
+        vec = _generator_bracket(table, gens[i], gens[j], normal)
         if not vec:
             continue
         if j < main_gens:
@@ -1005,6 +1012,14 @@ def containment_oracle(g: Graph, core, n: int, slack: int) -> ContainmentReport:
 
 def rows_as_elements(g: Graph, space) -> tuple[Element, ...]:
     return tuple(Element(g, row) for row in space.reduced_rows())
+
+
+def vertex_sum(g: Graph) -> Element:
+    """The sum of all vertices: the multiplicative identity."""
+    total = zero(g)
+    for v in g.vertices:
+        total = total + vertex_element(g, v)
+    return total
 
 
 def is_skew(x: Element) -> bool:

@@ -29,6 +29,7 @@ from helpers import (
     random_element,
     raw_product_all_pairs,
     span,
+    vertex_sum,
 )
 
 from lpakit.algebra import (
@@ -53,7 +54,6 @@ from lpakit.algebra import (
     normal_form,
     paths_up_to,
     vertex_element,
-    vertex_sum,
     zero,
     _ideal_space,
 )
@@ -384,6 +384,27 @@ def test_product_matches_the_fraction_oracle(g, data):
         x, y = x + cx.scale(data.draw(coefficient)), y + cy
     for a, b in ((x, y), (y, x), (x, zero(g)), (zero(g), y)):
         _assert_product_matches_the_fraction_oracle(a, b)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=7), st.data())
+def test_difference_matches_the_sum_with_the_negation(g, data):
+    # x - y subtracts in place: same terms, in the same order, as x + (-y),
+    # on monomials that x and y share with cancelling and other coefficients
+    pool = basis_monomials(g, 2)
+    coefficient = st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+    terms = st.lists(st.tuples(st.sampled_from(pool), coefficient), max_size=6)
+    x = Element.from_terms(g, data.draw(terms))
+    shared = []
+    for m, c in x.terms.items():
+        kind = data.draw(st.sampled_from(["cancel", "other", "absent"]))
+        if kind != "absent":
+            shared.append((m, c if kind == "cancel" else c + data.draw(coefficient)))
+    y = Element.from_terms(g, data.draw(st.permutations(shared + data.draw(terms))))
+    for a, b in ((x, y), (y, x), (x, x), (x, zero(g)), (zero(g), y)):
+        got = list((a - b).terms.items())
+        assert got == list((a + -b).terms.items())
+        assert all(type(c) is Fraction and c for _, c in got)
 
 
 def test_product_past_64_bit_denominators_is_exact(toeplitz):

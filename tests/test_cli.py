@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import CORPUS, corpus_names
+from helpers import CORPUS, corpus_names, serialize_graph
 
 import lpakit
 from lpakit.cli import _render_classification, _write_json, main
-from lpakit.graph import Graph, serialize_graph
+from lpakit.graph import Graph
 
 
 def run_cli(*args, capsys=None):

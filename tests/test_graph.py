@@ -24,6 +24,7 @@ from helpers import (
     multigraphs,
     parse_graph_two_pass,
     random_graph,
+    serialize_graph,
     weak_components_rescan,
 )
 
@@ -44,7 +45,6 @@ from lpakit.graph import (
     exitless_cycles,
     parse_graph,
     path_key,
-    serialize_graph,
     sinks,
     sources,
     weak_components,

@@ -1,6 +1,8 @@
-"""Import hygiene of the package: every module-level import is used."""
+"""Import hygiene of the package: every module-level import is used, and
+every name the benchmark's tracer wraps is still there."""
 
 import ast
+import importlib
 
 import pytest
 
@@ -46,3 +48,30 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """The (module, attribute or Class.method) of each entry of TRACED in
+    perfbench/tracer.py, read from its source without importing it."""
+    tree = ast.parse((CORPUS.parent / "perfbench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)]
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in value.elts]
+
+
+def resolves(module: str, attr: str) -> bool:
+    """What Tracer.install needs: a function on its module, or a method in
+    its class's own namespace."""
+    owner = importlib.import_module(module)
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        return callable(vars(getattr(owner, cls_name, object)).get(method))
+    return callable(getattr(owner, attr, None))
+
+
+def test_every_traced_name_resolves():
+    names = traced_names()
+    assert len(names) > 20
+    assert [x for x in names if not resolves(*x)] == []
+    assert not resolves("lpakit.algebra", "no_such_name")
+    assert not resolves("lpakit.algebra", "RowSpace.table")

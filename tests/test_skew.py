@@ -208,10 +208,10 @@ def _assert_matches_the_element_oracle(g, n) -> None:
     is homogeneous of the sum of their grades."""
     table, gens = MonomialTable(g), skew_basis(g, n)
     grades = [_grade(next(iter(x.terms))) for x in gens]  # m and m^* agree
-    records = _generators(table, n)
+    records, normal = _generators(table, n), {}
     assert [x[0] for x in records] == _ids_in(table, gens)
     for i, j in degree_ordered_pairs(table, records):
-        vec = _generator_bracket(table, records[i], records[j])
+        vec = _generator_bracket(table, records[i], records[j], normal)
         assert all(k < table.star(k) for k in vec), (i, j)
         ids = _monomial_ids(table, vec)
         assert ids == {intern(table, m): c for m, c in bracket(gens[i], gens[j]).terms.items()}, (i, j)
@@ -261,9 +261,9 @@ def _assert_matches_the_tuple_kernel(g, n) -> int:
     ks = [k for k in ks if k < oracle.star(k)]
     assert [x[0] for x in records] == ks
     stars = [(k, oracle.star(k)) for k in ks]
-    top = max(ks, default=0)
+    top, normal = max(ks, default=0), {}
     for i, j in degree_ordered_pairs(table, records):
-        vec = _generator_bracket(table, records[i], records[j])
+        vec = _generator_bracket(table, records[i], records[j], normal)
         assert vec == tuple_generator_bracket(oracle, stars[i], stars[j]), (i, j)
         top = max(top, *vec, 0)
     return top
@@ -406,9 +406,9 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
     skew_module = sys.modules["lpakit.skew"]
     generator_bracket = skew_module._generator_bracket
 
-    def recorded(table, x, y):
+    def recorded(table, x, y, normal):
         evaluated.append((x[0], y[0]))
-        return generator_bracket(table, x, y)
+        return generator_bracket(table, x, y, normal)
 
     monkeypatch.setattr(skew_module, "_generator_bracket", recorded)
     # the package re-exports classify(), which hides the submodule's name
