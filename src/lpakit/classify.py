@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Container, Iterable
+from typing import Collection, Iterable
 
 from .graph import Edge, Graph, condensation, exitless_cycles, sources, weak_components
 
@@ -35,10 +35,6 @@ class ClassifyError(Exception):
 
 class GraphTooLarge(ClassifyError):
     """Subset enumeration is gated to small vertex counts."""
-
-
-class EmptyBaseSet(ClassifyError):
-    """Balloons are only defined over a nonempty vertex set."""
 
 
 # -- hereditary / saturated subsets -----------------------------------------
@@ -272,31 +268,14 @@ def is_fork(g: Graph) -> bool:
     return all(g.is_sink(v) for v in g.vertices if v != srcs[0])
 
 
-def _balloon_clauses(g: Graph, v: str, wset: Container[str]) -> bool:
-    loops = [e for e in g.out_edges(v) if e.target == v]
-    if len(loops) != 1:
-        return False
-    loop = loops[0]
-    into_w = [e for e in g.out_edges(v) if e.target != v and e.target in wset]
-    if not into_w:
-        return False
-    if len(g.out_edges(v)) != 1 + len(into_w):
-        return False
-    ins = g.in_edges(v)
-    return len(ins) == 1 and ins[0] == loop
-
-
-def find_balloons(g: Graph, ws: Iterable[str]) -> list[str]:
-    """Vertices outside ws that are balloons over ws: a single loop, at
-    least one edge into ws, no other outgoing edges, and no incoming edge
-    except the loop."""
-    wlist = list(ws)
-    if not wlist:
-        raise EmptyBaseSet("balloons need a nonempty base set")
-    for v in wlist:
-        g._check_vertex(v)
-    wset = set(wlist)
-    return [v for v in g.vertices if v not in wset and _balloon_clauses(g, v, wset)]
+def _is_balloon(g: Graph, v: str) -> bool:
+    """v carries exactly one loop, which is its only incoming edge, and
+    emits at least one other edge.  Past fiber units, that other edge ends
+    in the core: another such vertex would gain a second incoming edge, a
+    unit's source receives nothing, and a unit's target receives only its
+    fiber."""
+    ins = g._in[v]
+    return len(ins) == 1 and ins[0].source == v and len(g._out[v]) > 1
 
 
 # -- fiber stripping ----------------------------------------------------------
@@ -359,14 +338,11 @@ class Classification:
 def classify(g: Graph) -> Classification:
     """Decide the almost-simple decomposition.
 
-    Pipeline: (1) detach fiber units; (2) the balloons are the vertices
-    passing the local test (one loop, no other incoming edge, at least one
-    other outgoing edge); a balloon receives only its loop, so no balloon
-    points at another and each meets the balloon clauses over the rest;
-    (3) that rest is the core: check it is simple.  The
-    verdict is also negative when nothing remains after stripping, or when
-    the remainder is one isolated vertex (its skew-symmetric part is zero,
-    so the commutator algebra cannot be simple).
+    Pipeline: (1) detach fiber units; (2) the balloons are the remaining
+    vertices that pass _is_balloon; (3) the rest is the core: check it is
+    simple.  The verdict is also negative when nothing remains after
+    stripping, or when the remainder is one isolated vertex (its
+    skew-symmetric part is zero, so the commutator algebra cannot be simple).
     """
     comps = tuple(tuple(c) for c in weak_components(g))
     first = _unreaching_vertex(g)
@@ -375,11 +351,7 @@ def classify(g: Graph) -> Classification:
     units = fiber_units(g)
     drop = {e.source for e in units} | {e.target for e in units}
     remainder = [v for v in g.vertices if v not in drop]
-    # a fiber unit touches no other edge, so each remaining vertex has the same
-    # edges in g as in the remainder, over which the balloon clauses are
-    # exactly the local test
-    everywhere = g.vertex_index
-    balloons = [v for v in remainder if _balloon_clauses(g, v, everywhere)]
+    balloons = [v for v in remainder if _is_balloon(g, v)]
     balloon_set = set(balloons)
     core = [v for v in remainder if v not in balloon_set]
 
@@ -415,8 +387,8 @@ def validate_classification(g: Graph, cls: Classification) -> bool:
 
     Used as a self-check by the command line tool: the decomposition parts
     must partition the vertices, each fiber unit must still satisfy the
-    fiber clauses, each balloon the balloon clauses over the core, and the
-    core subgraph must be simple.
+    fiber clauses, the core subgraph must be simple, and each balloon must
+    pass _is_balloon on g.
     """
     if not cls.almost_simple:
         return True
@@ -427,13 +399,9 @@ def validate_classification(g: Graph, cls: Classification) -> bool:
         return False
     if not set(cls.fiber_units) <= set(fiber_units(g)):
         return False
-    keep = set(cls.core) | set(cls.balloons)
-    if not keep or not cls.core:
+    if not cls.core or not is_simple(g.subgraph(cls.core)).simple:
         return False
-    rem = g.subgraph(keep)
-    if not is_simple(rem.subgraph(cls.core)).simple:
-        return False
-    return set(find_balloons(rem, cls.core)) == set(cls.balloons)
+    return all(_is_balloon(g, v) for v in cls.balloons)
 
 
 # -- the vanishing family -----------------------------------------------------

@@ -454,22 +454,19 @@ class ContainmentReport:
     slack: int
 
 
-def bracket_in_ideal(g: Graph, ws, n: int, slack: int = 2) -> ContainmentReport:
+def bracket_in_ideal(g: Graph, n: int, slack: int = 2) -> ContainmentReport:
     """Check that the truncated bracket space lies in the ideal generated by
-    the core of the almost-simple decomposition.
+    the core of classify's almost-simple decomposition.
 
     The bracket space is taken at degree n, the ideal slice at n + slack;
     brackets of degree-n skews reach degree 2n, so callers should keep
     slack >= n for a conclusive check, as the evidence bundle's probe does
     with n = 2 and slack = 2 (_containment).
     """
-    wlist = list(ws)
     cls = classify(g)
     if not cls.almost_simple:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
-    if set(wlist) != set(cls.core):
-        raise NotAlmostSimple(f"core is {list(cls.core)}, not {sorted(set(wlist))}")
-    return _containment(g, n, wlist, n, slack)[2]
+    return _containment(g, n, cls.core, n, slack)[2]
 
 
 def _containment(

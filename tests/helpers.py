@@ -12,7 +12,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from bisect import bisect_left, bisect_right
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import lcm
 from pathlib import Path
 
@@ -39,7 +39,7 @@ from lpakit.classify import (
     FailureReason,
     SimplicityResult,
     classify,
-    find_balloons,
+    fiber_units,
     hereditary_closure,
     is_hereditary,
     is_simple,
@@ -63,6 +63,7 @@ from lpakit.skew import (
     ContainmentReport,
     bracket,
     skew_basis,
+    _bracket_pass,
     _generator_bracket,
     _generators,
     _monomial_ids,
@@ -392,6 +393,36 @@ def balloon_oracle(g: Graph, v: str, wset) -> bool:
         and all(e.target in set(wset) for e in others)
         and list(g.in_edges(v)) == loops
     )
+
+
+def find_balloons(g: Graph, ws) -> list[str]:
+    """Vertices outside ws that are balloons over ws (balloon_oracle), in
+    declaration order: classify's balloon test before it became the local
+    predicate _is_balloon."""
+    wset = set(ws)
+    return [v for v in g.vertices if v not in wset and balloon_oracle(g, v, wset)]
+
+
+def validate_classification_by_remainder(g: Graph, cls: Classification) -> bool:
+    """validate_classification as it was before it re-derived on g: the
+    balloons are checked over the core inside the subgraph on core and
+    balloons, and the core's simplicity on a subgraph of that subgraph."""
+    if not cls.almost_simple:
+        return True
+    parts: list[str] = list(cls.core) + list(cls.balloons)
+    for e in cls.fiber_units:
+        parts += [e.source, e.target]
+    if sorted(parts) != sorted(g.vertices):
+        return False
+    if not set(cls.fiber_units) <= set(fiber_units(g)):
+        return False
+    keep = set(cls.core) | set(cls.balloons)
+    if not keep or not cls.core:
+        return False
+    rem = g.subgraph(keep)
+    if not is_simple(rem.subgraph(cls.core)).simple:
+        return False
+    return set(find_balloons(rem, cls.core)) == set(cls.balloons)
 
 
 def fiber_unit_edges_oracle(g: Graph):
@@ -1047,6 +1078,84 @@ def orthogonal_idempotent_family(g: Graph, ws, k: int) -> list[Element]:
                 p = g.path([loop.name] * j + [e.name])
                 family.append(Element.from_terms(g, [(Monomial(p, p), Fraction(1))]))
     return family
+
+
+# -- the census of small graphs ----------------------------------------------------
+
+
+def census_classes(max_vertices: int = 4, max_edges: int = 5) -> list[tuple[int, tuple]]:
+    """Every isomorphism class of graphs with 1..max_vertices vertices and at
+    most max_edges edges, loops, parallel edges and isolated vertices allowed,
+    as (vertex count, canonical edges), sorted.  The canonical edges are the
+    least sorted tuple of (source, target) index pairs over all vertex
+    permutations."""
+    classes = set()
+    for n in range(1, max_vertices + 1):
+        perms = list(permutations(range(n)))
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        for m in range(max_edges + 1):
+            for edges in combinations_with_replacement(pairs, m):
+                classes.add((n, min(tuple(sorted((p[s], p[t]) for s, t in edges)) for p in perms)))
+    return sorted(classes)
+
+
+def census_graph(n: int, edges) -> Graph:
+    """A census class as a graph: vertices v0.. and edges e0.. in order."""
+    return Graph([f"v{i}" for i in range(n)], [(f"e{j}", f"v{s}", f"v{t}") for j, (s, t) in enumerate(edges)])
+
+
+def bracket_vectors(g: Graph, n: int):
+    """The bracket pass's nonzero bracket vectors, in skew coordinates: every
+    meeting generator pair of degree <= n, with one normal-form memo, as
+    single_space_bracket_pass collects them."""
+    table, normal = MonomialTable(g), {}
+    gens = _generators(table, n)
+    for flat in _pairs_by_grade(table, gens).values():
+        for i, j in zip(flat[::2], flat[1::2]):
+            vec = _generator_bracket(table, gens[i], gens[j], normal)
+            if vec:
+                yield vec
+
+
+def rank_mod(vectors, p: int) -> int:
+    """The rank over GF(p) of integer vectors {index: coefficient}, by
+    elimination on the least index with monic pivot rows."""
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        row = {k: c % p for k, c in vec.items() if c % p}
+        while row:
+            k = min(row)
+            pivot = pivots.get(k)
+            if pivot is None:
+                inv = pow(row[k], -1, p)
+                pivots[k] = {j: c * inv % p for j, c in row.items()}
+                break
+            c = row[k]
+            for j, d in pivot.items():
+                x = (row.get(j, 0) - c * d) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+def census_line(n: int, edges) -> str:
+    """One census row: vertex count, canonical edges, classify's verdict and
+    failure kind, and the rank of the bracket pass at n = 2 over Q, mod 3
+    and mod 5."""
+    g = census_graph(n, edges)
+    cls = classify(g)
+    vecs = list(bracket_vectors(g, 2))
+    return " ".join([
+        str(n),
+        ",".join(f"{s}>{t}" for s, t in edges) or "-",
+        "yes" if cls.almost_simple else "no",
+        cls.failure_reason.kind if cls.failure_reason else "-",
+        str(_bracket_pass(g, 2)[0]),
+        str(rank_mod(vecs, 3)),
+        str(rank_mod(vecs, 5)),
+    ])
 
 
 # -- random instances ------------------------------------------------------------

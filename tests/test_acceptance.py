@@ -249,7 +249,7 @@ def test_criterion_09_positive_verdicts_carry_algebraic_evidence(capsys):
                 witness = first_nonzero_bracket(g, 2)
                 assert witness is not None, name
                 assert bracket(witness.left, witness.right) == witness.value
-                report = bracket_in_ideal(g, list(cls.core), 2, 2)
+                report = bracket_in_ideal(g, 2, 2)
                 assert report.contained, name
             if is_vanishing_family(g):
                 assert bracket_space(g, 6).dimension == 0, name

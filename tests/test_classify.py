@@ -13,9 +13,12 @@ from helpers import (
     almost_simple_oracle,
     block_graphs,
     build,
+    census_classes,
+    census_graph,
     classify_by_subgraph,
     decomposed_graphs,
     fiber_unit_edges_oracle,
+    find_balloons,
     hs_closure_oracle,
     hs_closure_rescan,
     hs_oracle,
@@ -29,17 +32,16 @@ from helpers import (
     simple_oracle,
     smallest_hs_subset_by_intersection,
     star_graphs,
+    validate_classification_by_remainder,
 )
 
 from lpakit.classify import (
     Classification,
-    EmptyBaseSet,
     GraphTooLarge,
     SimplicityResult,
     classify,
     enumerate_hs_subsets,
     fiber_units,
-    find_balloons,
     find_fibers,
     hereditary_closure,
     hs_closure,
@@ -257,11 +259,6 @@ def test_find_balloons_relabelling_invariance(toeplitz):
     assert find_balloons(g, ["sink"]) == ["hub"]
 
 
-def test_find_balloons_needs_base(toeplitz):
-    with pytest.raises(EmptyBaseSet):
-        find_balloons(toeplitz, [])
-
-
 def test_fiber_units_and_detachment(corpus):
     g = corpus["fiber_plus_toeplitz"]
     assert fiber_units(g) == [Edge("e", "u", "w")]
@@ -401,6 +398,23 @@ def test_validate_classification(corpus, rng):
     for _ in range(100):
         g = random_graph(rng, max_vertices=7)
         assert validate_classification(g, classify(g))
+
+
+def _single_vertex_moves(cls: Classification):
+    """cls with one vertex moved from the core to the balloons, or back."""
+    for v in cls.core:
+        yield replace(cls, core=tuple(x for x in cls.core if x != v), balloons=cls.balloons + (v,))
+    for v in cls.balloons:
+        yield replace(cls, core=cls.core + (v,), balloons=tuple(x for x in cls.balloons if x != v))
+
+
+def test_validate_matches_the_remainder_route(rng):
+    graphs = [census_graph(n, edges) for n, edges in census_classes()]
+    graphs += [random_graph(rng, max_vertices=7) for _ in range(300)]
+    for g in graphs:
+        cls = classify(g)
+        for c in [cls, *_single_vertex_moves(cls)]:
+            assert validate_classification(g, c) == validate_classification_by_remainder(g, c), (g, c)
 
 
 @pytest.mark.parametrize("name, change", [

@@ -7,10 +7,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import CORPUS, corpus_names, serialize_graph
+from helpers import CORPUS, corpus_names, graph_texts, serialize_graph
 
 import lpakit
 from lpakit.cli import _render_classification, _write_json, main
@@ -488,3 +488,46 @@ def test_json_writer_matches_json_dumps(x):
 def test_json_writer_rejects_other_types(x):
     with pytest.raises(TypeError):
         _write_json(x, io.StringIO().write)
+
+
+# command-line flags, each with the commands it belongs to
+cli_flags = {
+    "--json": (st.just([]), "classify inspect algebra"),
+    "--witness": (st.just([]), "classify"),
+    "--no-evidence": (st.just([]), "classify"),
+    "--corpus": (st.just(["DIR"]), "classify"),
+    "--truncate": (st.integers(-1, 3).map(lambda n: [str(n)]), "classify algebra"),
+    "--max-cycles": (st.integers(0, 3).map(lambda k: [str(k)]), "inspect"),
+    "--fiber": (st.sampled_from(["e", "f", "a", "x"]).map(lambda name: [name]), "algebra"),
+    "--cycle-check": (st.integers(-1, 7).map(lambda d: [str(d)]), "algebra"),
+}
+
+
+@st.composite
+def cli_argvs(draw) -> list[str]:
+    """Arguments over the real flags: a command, mostly with the file FILE,
+    a question word or none, and flags mostly of that command; DIR stands
+    for a directory that holds FILE."""
+    command = draw(st.sampled_from(["classify", "inspect", "algebra"]))
+    argv = [command] + draw(st.sampled_from([["FILE"]] * 3 + [[]]))
+    words = ["dim", "skew-dim", "bracket-dim", "m2-check", "cycle-check"]
+    argv += draw(st.sampled_from([[]] * (5 if command == "algebra" else 20) + [[w] for w in words]))
+    own = [f for f, (_, commands) in cli_flags.items() if command in commands.split()]
+    for flag in draw(st.lists(st.sampled_from(own * 4 + list(cli_flags)), max_size=3, unique=True)):
+        argv += [flag] + draw(cli_flags[flag][0])
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph_texts() | st.sampled_from([p.read_text() for p in sorted(CORPUS.glob("*.graph"))]), cli_argvs())
+def test_every_run_ends_with_exit_0_2_or_3(tmp_path, capsys, text, argv):
+    path = tmp_path / "g.graph"
+    path.write_text(text, encoding="utf-8", newline="")
+    argv = [str(path) if a == "FILE" else str(tmp_path) if a == "DIR" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the arguments
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv

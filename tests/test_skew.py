@@ -187,8 +187,7 @@ def test_witness_and_rank_match_the_sort_all_pairs_oracle(corpus, rng):
         assert bundle.witness == want, (name, n)
         assert bracket_space(g, n).dimension == bundle.bracket_space_dimension, (name, n)
         if bundle.ideal_containment is not None:
-            core = list(bundle.classification.core)
-            assert bundle.ideal_containment == bracket_in_ideal(g, core, 2, 2), (name, n)
+            assert bundle.ideal_containment == bracket_in_ideal(g, 2, 2), (name, n)
 
 
 def _grade(m) -> frozenset:
@@ -310,8 +309,8 @@ def _assert_matches_the_single_space_pass(g, n) -> None:
         core = list(cls.core)
         low = single_space_bracket_pass(g, n, 2)[2]
         assert bundle.ideal_containment == single_space_containment(core, low, 2, 2)
-        assert bracket_in_ideal(g, core, n, 2) == single_space_containment(core, space, n, 2)
-        assert bracket_in_ideal(g, core, n, n) == single_space_containment(core, space, n, n)
+        assert bracket_in_ideal(g, n, 2) == single_space_containment(core, space, n, 2)
+        assert bracket_in_ideal(g, n, n) == single_space_containment(core, space, n, n)
     else:
         assert bundle.ideal_containment is None
     got, want = bracket_space(g, n).basis, single_space_bracket_rows(g, n)
@@ -580,8 +579,6 @@ def test_fiber_m2_detects_broken_tables(fiber, monkeypatch):
 
 
 def test_bracket_in_ideal_on_positive_graphs(corpus, monkeypatch):
-    from lpakit.classify import classify
-
     # The ideal slice's rows are in monomial ids, so the brackets tested
     # against it must be too: skew there, each entry c at k matched by -c at
     # star(k).  Only the tested vectors show it, because each row of the
@@ -596,9 +593,7 @@ def test_bracket_in_ideal_on_positive_graphs(corpus, monkeypatch):
 
     monkeypatch.setattr(RowSpace, "contains", recorded)
     for name in ("toeplitz", "two_balloons", "balloon_core2", "double_edge_cycle"):
-        g = corpus[name]
-        cls = classify(g)
-        rep = bracket_in_ideal(g, list(cls.core), 2, 2)
+        rep = bracket_in_ideal(corpus[name], 2, 2)
         assert rep.contained, name
         assert rep.truncation == 2 and rep.slack == 2
         assert rep.bracket_dimension <= rep.ideal_rank
@@ -609,9 +604,7 @@ def test_bracket_in_ideal_on_positive_graphs(corpus, monkeypatch):
 
 def test_bracket_in_ideal_rejects_negative_graphs(corpus):
     with pytest.raises(NotAlmostSimple):
-        bracket_in_ideal(corpus["fork2"], ["w1"], 2)
-    with pytest.raises(NotAlmostSimple):
-        bracket_in_ideal(corpus["toeplitz"], ["v"], 2)  # wrong core
+        bracket_in_ideal(corpus["fork2"], 2)
 
 
 def test_evidence_bundle_positive(toeplitz):
