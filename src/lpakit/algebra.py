@@ -13,9 +13,10 @@ It is spanned by monomials p q^* where p and q are paths with the same
 range (vertices count as paths of length zero).  Where each rule lives:
 
 * is_basis_monomial: the basis that relation (4) leaves;
-* _rewrite: the rewriting onto it, for normal_form and Element.__mul__;
+* _rewrite: the rewriting onto it, for normal_form and Element;
 * _raw_mul: the product of two monomials, zero unless q1 and p2 meet;
-* Element: exact Fraction combinations, whose product runs on ints;
+* Element: int numerators over one reduced denominator, on which every
+  operator runs;
 * MonomialTable and RowSpace: the integer core of the bracket and ideal
   passes, ids built from path codes and fraction-free row reduction.
 
@@ -103,17 +104,26 @@ def _extend(p: Path, edge_name: str, target: str) -> Path:
     return Path(p.source, target, p.edges + (edge_name,))
 
 
+def _numerators(items: Iterable[tuple[Monomial, Scalar]]) -> tuple[list[tuple[Monomial, int]], int]:
+    """items (int or Fraction coefficients, as_scalar) as int numerators
+    over the lcm of their denominators, and that lcm."""
+    ratios = [(m, as_scalar(c).as_integer_ratio()) for m, c in items]
+    den = lcm(*[d for _, (_, d) in ratios])
+    return [(m, n * (den // d)) for m, (n, d) in ratios], den
+
+
 def normal_form(
     g: Graph,
     items: Iterable[tuple[Monomial, Scalar]],
 ) -> dict[Monomial, Scalar]:
     """Rewrite a linear combination of monomials onto the basis (_rewrite)."""
-    return _rewrite(g, [(m, as_scalar(c)) for m, c in items])
+    work, den = _numerators(items)
+    return {m: Fraction(n, den) for m, n in _rewrite(g, work).items()}
 
 
-def _rewrite(g: Graph, work: list[tuple[Monomial, Scalar | int]]) -> dict[Monomial, Scalar | int]:
-    """normal_form's rewriting, which consumes work, on coefficients of one
-    exact type: Fraction, or int numerators for Element.__mul__.  A monomial
+def _rewrite(g: Graph, work: list[tuple[Monomial, int]]) -> dict[Monomial, int]:
+    """The rewriting for normal_form and Element, which consumes work, on
+    int numerators over a denominator that the caller keeps.  A monomial
     off the basis (is_basis_monomial) ends with the special edge f of v on
     both sides; by relation (4) it becomes p1 q1^* minus p1 e (q1 e)^* over
     the other edges e leaving v, where p1 and q1 are its paths without f:
@@ -122,7 +132,7 @@ def _rewrite(g: Graph, work: list[tuple[Monomial, Scalar | int]]) -> dict[Monomi
     junction, so the order of the work items (last in, first out) does not
     change the result."""
     edge_map, least, out_edges = g.edge_map, g.least_out_edge, g._out
-    out: dict[Monomial, Scalar | int] = {}
+    out: dict[Monomial, int] = {}
     while work:
         m, c = work.pop()
         if not c:
@@ -149,100 +159,107 @@ def _rewrite(g: Graph, work: list[tuple[Monomial, Scalar | int]]) -> dict[Monomi
 
 class Element:
     """An element of the path algebra: a graph plus a finite rational
-    combination of basis monomials.  The term map holds no zero coefficient
-    and is treated as immutable; all operators build new elements."""
+    combination of basis monomials, stored as int numerators nums over one
+    denominator den.  The form is canonical (den > 0, gcd(den, *nums) == 1,
+    no zero numerator), so == compares it; terms is the Fraction view.  An
+    element is treated as immutable; all operators build new elements."""
 
-    __slots__ = ("graph", "terms")
+    __slots__ = ("graph", "nums", "den")
 
     def __init__(self, graph: Graph, terms: dict[Monomial, Scalar]):
-        self.graph = graph
-        self.terms = terms
+        """From a term map (_numerators), whose lcm denominator leaves no
+        common factor."""
+        work, self.den = _numerators(terms.items())
+        self.graph, self.nums = graph, {m: n for m, n in work if n}
+
+    @classmethod
+    def _of(cls, graph: Graph, nums: dict[Monomial, int], den: int) -> "Element":
+        """nums / den for zero-free nums and den > 0, reduced by one gcd."""
+        x = cls.__new__(cls)
+        x.graph = graph
+        g = gcd(den, *nums.values())
+        x.nums = nums if g == 1 else {m: n // g for m, n in nums.items()}
+        x.den = den // g
+        return x
 
     @classmethod
     def from_terms(cls, graph: Graph, items: Iterable[tuple[Monomial, Scalar]]) -> "Element":
-        return cls(graph, normal_form(graph, items))
+        work, den = _numerators(items)
+        return cls._of(graph, _rewrite(graph, work), den)
+
+    @property
+    def terms(self) -> dict[Monomial, Scalar]:
+        """The coefficients as Fractions, built on each read."""
+        return {m: Fraction(n, self.den) for m, n in self.nums.items()}
 
     def _same_graph(self, other: "Element") -> None:
         if self.graph is not other.graph and self.graph != other.graph:
             raise MixedGraphs("elements live over different graphs")
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int:
         """Largest monomial degree in the support; -1 for the zero element."""
-        return max((m.degree for m in self.terms), default=-1)
+        return max((m.degree for m in self.nums), default=-1)
 
     def support(self) -> list[Monomial]:
-        return sorted(self.terms, key=monomial_key)
+        return sorted(self.nums, key=monomial_key)
 
     def star(self) -> "Element":
         # The basis is closed under p q^* -> q p^*, so no renormalization.
-        return Element(self.graph, {m.star(): c for m, c in self.terms.items()})
+        return Element._of(self.graph, {m.star(): n for m, n in self.nums.items()}, self.den)
+
+    def _combine(self, other: "Element", sign: int) -> "Element":
+        """self + sign * other over the lcm of the two denominators."""
+        self._same_graph(other)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        nums = {m: n * s for m, n in self.nums.items()} if s != 1 else dict(self.nums)
+        for m, n in other.nums.items():
+            if acc := nums.get(m, 0) + n * t:
+                nums[m] = acc
+            else:
+                del nums[m]
+        return Element._of(self.graph, nums, den)
 
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._same_graph(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            if acc is None:
-                terms[m] = c
-            elif acc := acc + c:
-                terms[m] = acc
-            else:
-                del terms[m]
-        return Element(self.graph, terms)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._same_graph(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            if acc is None:
-                terms[m] = -c
-            elif acc := acc - c:
-                terms[m] = acc
-            else:
-                del terms[m]
-        return Element(self.graph, terms)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Element":
-        return Element(self.graph, {m: -c for m, c in self.terms.items()})
+        return Element._of(self.graph, {m: -n for m, n in self.nums.items()}, self.den)
 
     def scale(self, c) -> "Element":
-        c = as_scalar(c)
-        if not c:
-            return Element(self.graph, {})
-        return Element(self.graph, {m: c * x for m, x in self.terms.items()})
+        p, q = as_scalar(c).as_integer_ratio()
+        if not p:
+            return zero(self.graph)
+        return Element._of(self.graph, {m: p * n for m, n in self.nums.items()}, q * self.den)
 
     def __mul__(self, other):
-        """The product.  Each operand is put over the lcm of its denominators,
-        d1 and d2: the raw product and its rewriting (_rewrite) run on int
-        numerators, and each term of the result is one Fraction(n, d1 d2).
-        m1 m2 vanishes unless q1 and p2 meet (_raw_mul, inlined).  A right
-        term is kept as the row (edges of p2, its length, its target, q2,
-        numerator)."""
+        """The product, on int numerators over den1 den2, reduced once.  m1 m2
+        vanishes unless q1 and p2 meet (_raw_mul, inlined), and the raw sums
+        are rewritten (_rewrite).  A right term is kept as the row (edges of
+        p2, its length, its target, q2, numerator)."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._same_graph(other)
-        d1 = lcm(*[c.denominator for c in self.terms.values()])
-        d2 = lcm(*[c.denominator for c in other.terms.values()])
         by_source: dict[str, list[tuple]] = {}
-        for (p2, q2), c2 in other.terms.items():
-            by_source.setdefault(p2.source, []).append(
-                (p2.edges, len(p2.edges), p2.target, q2, c2.numerator * (d2 // c2.denominator)))
+        for (p2, q2), n2 in other.nums.items():
+            by_source.setdefault(p2.source, []).append((p2.edges, len(p2.edges), p2.target, q2, n2))
         raw: dict[Monomial, int] = {}
-        for (p1, q1), c1 in self.terms.items():
+        for (p1, q1), n1 in self.nums.items():
             rows = by_source.get(q1.source)
             if rows is None:
                 continue
-            n1 = c1.numerator * (d1 // c1.denominator)
             a = q1.edges
             la = len(a)
             for b, lb, target, q2, n2 in rows:
@@ -260,9 +277,8 @@ class Element:
                     m = Monomial(p1, Path(q2.source, q1.target, q2.edges + a[lb:]))
                 acc = raw.get(m)
                 raw[m] = n1 * n2 if acc is None else acc + n1 * n2
-        d = d1 * d2
-        terms = _rewrite(self.graph, list(raw.items()))
-        return Element(self.graph, {m: Fraction(n, d) for m, n in terms.items()})
+        nums = _rewrite(self.graph, list(raw.items()))
+        return Element._of(self.graph, nums, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -272,7 +288,7 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.graph == other.graph and self.terms == other.terms
+        return self.graph == other.graph and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         raise TypeError("elements are not hashable; compare with ==")
@@ -289,7 +305,7 @@ def format_element(x: Element) -> str:
     support in canonical monomial order, rationals as num/den."""
     if x.is_zero():
         return "0"
-    return " + ".join(f"{x.terms[m]} * {m}" for m in x.support())
+    return " + ".join(f"{Fraction(x.nums[m], x.den)} * {m}" for m in x.support())
 
 
 def _raw_mul(m1: Monomial, m2: Monomial) -> Monomial | None:
@@ -314,7 +330,7 @@ def _raw_mul(m1: Monomial, m2: Monomial) -> Monomial | None:
 def monomial_mul(g: Graph, m1: Monomial, m2: Monomial) -> Element:
     """Normalized product of two monomials."""
     m = _raw_mul(m1, m2)
-    return Element.from_terms(g, [] if m is None else [(m, Fraction(1))])
+    return Element._of(g, {} if m is None else _rewrite(g, [(m, 1)]), 1)
 
 
 # -- element constructors ----------------------------------------------------
@@ -332,11 +348,11 @@ def monomial_element(g: Graph, p_spec, q_spec) -> Element:
     p, q = make_path(g, p_spec), make_path(g, q_spec)
     if p.target != q.target:
         raise AlgebraError(f"paths {p} and {q} do not share their range")
-    return Element.from_terms(g, [(Monomial(p, q), Fraction(1))])
+    return Element._of(g, _rewrite(g, [(Monomial(p, q), 1)]), 1)
 
 
 def zero(g: Graph) -> Element:
-    return Element(g, {})
+    return Element._of(g, {}, 1)
 
 def vertex_element(g: Graph, v: str) -> Element:
     return monomial_element(g, v, v)
@@ -431,9 +447,9 @@ class MonomialTable:
     codes (skew._generator_bracket) and the rewrite rule drops digits
     (_expansion).  Ids are decoded (_decode) only where a vector leaves the
     integer core, in star, monomial and element, and Fractions are made
-    only in element and RowSpace.reduced_rows.  A table belongs to the call
-    that made it and the RowSpaces built on it, and is never stored on the
-    graph.  Merging its rule with _raw_mul and normal_form, and dropping the
+    only in RowSpace.reduced_rows.  A table belongs to the call that made
+    it and the RowSpaces built on it, and is never stored on the graph.
+    Merging its rule with _raw_mul and normal_form, and dropping the
     decoded-path cache _path_objects, both measured slower (ROADMAP,
     settled decisions).
     """
@@ -507,7 +523,7 @@ class MonomialTable:
         return Monomial(self._path(a), self._path(b))
 
     def element(self, vec: dict[int, int]) -> Element:
-        return Element(self.graph, {self.monomial(k): Fraction(c) for k, c in vec.items()})
+        return Element._of(self.graph, {self.monomial(k): c for k, c in vec.items()}, 1)
 
     def _expansion(self, a: int, la: int, sa: int, b: int, lb: int, sb: int) -> list[tuple]:
         """The basis expansion of p q^*, for p and q given by code, length

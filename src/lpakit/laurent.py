@@ -342,7 +342,8 @@ def cycle_iso(d: int) -> CycleModel:
 def image_of_element(model: CycleModel, x) -> LaurentMatrix:
     """Extend the generator assignment to an algebra element: a monomial
     p q^* maps to (the product over p) times the star of (the product
-    over q)."""
+    over q).  The images are summed scaled by the int numerators of x and
+    scaled once by 1/den."""
     d = model.d
 
     def path_image(path) -> LaurentMatrix:
@@ -354,9 +355,9 @@ def image_of_element(model: CycleModel, x) -> LaurentMatrix:
         return acc
 
     total = LaurentMatrix.zero(d)
-    for m, c in x.terms.items():
-        total = total + (path_image(m.p) * path_image(m.q).star()) * c
-    return total
+    for m, n in x.nums.items():
+        total = total + (path_image(m.p) * path_image(m.q).star()) * n
+    return total if x.den == 1 else total * Fraction(1, x.den)
 
 
 @dataclass(frozen=True)
@@ -411,7 +412,7 @@ def verify_cycle_iso(d: int) -> CycleIsoReport:
     monos = basis_monomials(g, PRODUCT_DEGREE)
     images = {}
     for m in monos:
-        x = Element(g, {m: Fraction(1)})
+        x = Element(g, {m: 1})
         images[m] = image_of_element(model, x)
         want(image_of_element(model, x.star()) == images[m].star(), f"star image of {m}")
     products = 0

@@ -602,7 +602,9 @@ def element_mul_fractions(x: Element, y: Element) -> Element:
     """x * y as Element.__mul__ computed it before it worked on int
     numerators: each term paired only with the terms whose p starts where its
     q starts, _raw_mul on each such pair, one Fraction product per pair, and
-    the raw sums rewritten by normal_form on Fractions."""
+    the raw sums rewritten on Fractions by normal_form_oracle, whose result
+    keeps normal_form's order.  The element is built from that Fraction
+    map, so no int route of the package rewrites or sums here."""
     by_source: dict = {}
     for item in y.terms.items():
         by_source.setdefault(item[0].p.source, []).append(item)
@@ -613,7 +615,22 @@ def element_mul_fractions(x: Element, y: Element) -> Element:
             if m is not None:
                 acc = raw.get(m)
                 raw[m] = c1 * c2 if acc is None else acc + c1 * c2
-    return Element.from_terms(x.graph, raw.items())
+    return Element(x.graph, normal_form_oracle(x.graph, raw.items()))
+
+
+def element_sum_fractions(x: Element, y: Element, sign: int = 1) -> dict:
+    """The terms of x + sign * y as Element.__add__ and __sub__ computed them
+    on Fractions before they worked on int numerators: the terms of x in
+    order, then each term of y summed in place, new monomials appended and
+    sums that cancel dropped."""
+    terms = x.terms
+    for m, c in y.terms.items():
+        acc = terms.get(m, 0) + sign * c
+        if acc:
+            terms[m] = acc
+        else:
+            terms.pop(m, None)
+    return terms
 
 
 def element_mul_all_pairs(x: Element, y: Element) -> Element:

@@ -5,13 +5,14 @@ import random
 import sys
 import weakref
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CORPUS,
     ElementSpan,
     FractionRowSpace,
     acyclic_multigraphs,
@@ -20,6 +21,8 @@ from helpers import (
     dimension_oracle,
     element_mul_all_pairs,
     element_mul_fractions,
+    element_sum_fractions,
+    graph_texts,
     intern,
     load,
     multigraphs,
@@ -58,9 +61,9 @@ from lpakit.algebra import (
     _ideal_space,
 )
 from lpakit.classify import classify
-from lpakit.graph import Graph
+from lpakit.graph import Graph, GraphError, parse_graph
 from lpakit.laurent import LaurentMatrix, LaurentPoly
-from lpakit.skew import _bracket_pass
+from lpakit.skew import bracket, _bracket_pass
 
 
 # -- monomials and normal forms ---------------------------------------------------
@@ -336,6 +339,11 @@ def _assert_product_matches_the_fraction_oracle(x: Element, y: Element) -> None:
     assert all(type(c) is Fraction and c for _, c in got)
 
 
+def _assert_sum_and_difference_match_the_fraction_oracle(x: Element, y: Element) -> None:
+    for sign, got in ((1, x + y), (-1, x - y)):
+        assert list(got.terms.items()) == list(element_sum_fractions(x, y, sign).items())
+
+
 def test_product_with_cancelling_raw_terms_matches_the_oracle(corpus):
     cases = 0
     for g in corpus.values():
@@ -372,7 +380,8 @@ def test_product_matches_the_all_pairs_oracle(g, data):
 @given(multigraphs(max_vertices=5, max_edges=7), st.data())
 def test_product_matches_the_fraction_oracle(g, data):
     # the product on int numerators over d1 d2 against one Fraction product
-    # per pair of terms: same terms, in the same order, all Fractions
+    # per pair of terms, and the sum and difference against Fraction sums:
+    # same terms, in the same order, all Fractions
     pool = basis_monomials(g, 3)
     coefficient = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
     terms = st.lists(st.tuples(st.sampled_from(pool), coefficient), max_size=6)
@@ -384,6 +393,8 @@ def test_product_matches_the_fraction_oracle(g, data):
         x, y = x + cx.scale(data.draw(coefficient)), y + cy
     for a, b in ((x, y), (y, x), (x, zero(g)), (zero(g), y)):
         _assert_product_matches_the_fraction_oracle(a, b)
+        _assert_sum_and_difference_match_the_fraction_oracle(a, b)
+    _assert_sum_and_difference_match_the_fraction_oracle(x, x)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -419,8 +430,87 @@ def test_product_past_64_bit_denominators_is_exact(toeplitz):
         assert lcm(*(c.denominator for c in a.terms.values())) > 2**64
     _assert_product_matches_the_fraction_oracle(x, y)
     _assert_product_matches_the_fraction_oracle(y, x)
+    _assert_sum_and_difference_match_the_fraction_oracle(x, y)
     assert x * y == element_mul_all_pairs(x, y)
     assert any(c.denominator > 2**64 for c in (x * y).terms.values())
+
+
+def _assert_canonical(x: Element) -> None:
+    assert x.den > 0 and gcd(x.den, *x.nums.values()) == 1
+    assert all(type(n) is int and n for n in x.nums.values())
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graph_texts() | st.sampled_from([p.read_text() for p in sorted(CORPUS.glob("*.graph"))]),
+       st.data())
+def test_operators_keep_the_stored_form_canonical(text, data):
+    # every operator leaves den > 0, gcd(den, *nums) == 1 and no zero
+    # numerator, with denominators past 2**64; then == on the stored form is
+    # == on the Fraction view.  Most generated texts do not parse, so the
+    # corpus texts are drawn as well
+    try:
+        g = parse_graph(text)
+    except GraphError:
+        return
+    pool = basis_monomials(g, 2)
+    coefficient = st.builds(Fraction, st.integers(-2**70, 2**70),
+                            st.integers(1, 12) | st.integers(2**64, 2**70))
+    terms = st.lists(st.tuples(st.sampled_from(pool), coefficient), max_size=5)
+    x = Element.from_terms(g, data.draw(terms))
+    y = Element.from_terms(g, data.draw(terms))
+    c = data.draw(st.integers(-3, 3) | coefficient)
+    got = [x, y, x + y, x - y, y - x, x - x, -x, x * y, y * x, x.scale(c), c * x,
+           x.star(), (x * y).star(), y.star() * x.star(), (x + y) - y]
+    for z in got:
+        _assert_canonical(z)
+    for a in got:
+        for b in got:
+            assert (a == b) == (a.terms == b.terms)
+
+
+def _fractions_module_calls(f) -> int:
+    """The Python-level calls into the fractions module while f() runs.  On
+    Python 3.12 and later Fraction arithmetic builds its results without
+    Fraction.__new__, so every call into the module is counted, not only
+    __new__."""
+    fractions_file = sys.modules["fractions"].__file__
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename == fractions_file
+
+    sys.setprofile(count)
+    try:
+        f()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_law_checks_make_no_fraction(corpus):
+    # the three laws of the element-arithmetic benchmark, on seeded triples
+    # of dense rational elements, run on ints only: no Fraction is built
+    triples = []
+    for name, g in sorted(corpus.items()):
+        pool = basis_monomials(g, 3)
+        rng = random.Random(f"1911:{name}")
+
+        def element():
+            return Element.from_terms(g, [
+                (rng.choice(pool), Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)))
+                for _ in range(4)])
+
+        triples += [(element(), element(), element()) for _ in range(20)]
+    laws = (
+        lambda x, y, z: (x * y) * z == x * (y * z),
+        lambda x, y, z: (x * y).star() == y.star() * x.star(),
+        lambda x, y, z: bracket(x, y) == -bracket(y, x),
+    )
+    held = []
+    assert _fractions_module_calls(lambda: held.extend(law(*t) for t in triples for law in laws)) == 0
+    assert len(held) == 3 * len(triples) and all(held)
+    assert _fractions_module_calls(lambda: str(triples[0][0])) > 0  # the count sees Fractions
 
 
 def test_normal_form_of_int_items_has_fraction_coefficients(toeplitz, fork2):
