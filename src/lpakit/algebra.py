@@ -18,7 +18,8 @@ range (vertices count as paths of length zero).  Where each rule lives:
 * Element: int numerators over one reduced denominator, on which every
   operator runs;
 * MonomialTable and RowSpace: the integer core of the bracket and ideal
-  passes, ids built from path codes and fraction-free row reduction.
+  passes, int id vectors built from path codes and reduced fraction-free,
+  which only MonomialTable.element turns into Elements.
 
 Coefficients are exact throughout; nothing here ever rounds.
 """
@@ -117,8 +118,7 @@ def normal_form(
     items: Iterable[tuple[Monomial, Scalar]],
 ) -> dict[Monomial, Scalar]:
     """Rewrite a linear combination of monomials onto the basis (_rewrite)."""
-    work, den = _numerators(items)
-    return {m: Fraction(n, den) for m, n in _rewrite(g, work).items()}
+    return Element.from_terms(g, items).terms
 
 
 def _rewrite(g: Graph, work: list[tuple[Monomial, int]]) -> dict[Monomial, int]:
@@ -446,9 +446,9 @@ class MonomialTable:
     The table works on codes and int coefficients: a product cuts and joins
     codes (skew._generator_bracket) and the rewrite rule drops digits
     (_expansion).  Ids are decoded (_decode) only where a vector leaves the
-    integer core, in star, monomial and element, and Fractions are made
-    only in RowSpace.reduced_rows.  A table belongs to the call that made
-    it and the RowSpaces built on it, and is never stored on the graph.
+    integer core, in star, monomial and element, the one route from an id
+    vector to an Element.  A table belongs to the call that made it and the
+    RowSpaces built on it, and is never stored on the graph.
     Merging its rule with _raw_mul and normal_form, and dropping the
     decoded-path cache _path_objects, both measured slower (ROADMAP,
     settled decisions).
@@ -522,8 +522,9 @@ class MonomialTable:
         a, b, _ = self._decode(k)
         return Monomial(self._path(a), self._path(b))
 
-    def element(self, vec: dict[int, int]) -> Element:
-        return Element._of(self.graph, {self.monomial(k): c for k, c in vec.items()}, 1)
+    def element(self, vec: dict[int, int], den: int) -> Element:
+        """vec / den for zero-free vec and den > 0 (Element._of)."""
+        return Element._of(self.graph, {self.monomial(k): c for k, c in vec.items()}, den)
 
     def _expansion(self, a: int, la: int, sa: int, b: int, lb: int, sb: int) -> list[tuple]:
         """The basis expansion of p q^*, for p and q given by code, length
@@ -641,9 +642,10 @@ class RowSpace:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduced_rows(self) -> list[dict[Monomial, Scalar]]:
-        """The unique fully reduced basis, ordered by pivot monomial, as
-        rational rows with pivot coefficient 1.
+    def reduced_rows(self) -> list[dict[int, int]]:
+        """The unique fully reduced basis as int id vectors, ordered by
+        pivot: primitive rows that hold no other pivot, ids increasing from
+        the pivot, whose coefficient, the lead, is positive.
 
         The pivot rows go, highest pivot first, into a fresh RowSpace on the
         same table.  Each row's entries lie at or above its pivot, so when it
@@ -655,20 +657,7 @@ class RowSpace:
         reduced = RowSpace(self.table)
         for pivot in sorted(self.pivots, reverse=True):
             reduced.add(self.pivots[pivot])
-        monomial = self.table.monomial
-        fractions: dict[tuple[int, int], Fraction] = {}
-        rows = []
-        for pivot in sorted(reduced.pivots):
-            row = reduced.pivots[pivot]
-            lead = row[pivot]
-            out = {}
-            for k, c in row.items():  # ids in increasing order, see _residue
-                x = fractions.get((c, lead))
-                if x is None:
-                    x = fractions[c, lead] = Fraction(c, lead)
-                out[monomial(k)] = x
-            rows.append(out)
-        return rows
+        return [reduced.pivots[pivot] for pivot in sorted(reduced.pivots)]
 
 
 # -- ideals ---------------------------------------------------------------------
@@ -678,8 +667,11 @@ def ideal_span(g: Graph, ws: Iterable[str], n: int) -> list[Element]:
     """Row-reduced basis of the degree-<=n slice of the ideal generated by a
     hereditary vertex subset: the span of every monomial p q^* whose common
     range lies in the subset (normalized, so relation (4) consequences such
-    as a source vertex itself may enter the span)."""
-    return [Element(g, row) for row in _ideal_space(MonomialTable(g), ws, n).reduced_rows()]
+    as a source vertex itself may enter the span).  Each row is taken over
+    its lead, for pivot coefficient 1."""
+    table = MonomialTable(g)
+    rows = _ideal_space(table, ws, n).reduced_rows()
+    return [table.element(row, next(iter(row.values()))) for row in rows]
 
 
 def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
@@ -687,6 +679,8 @@ def _ideal_space(table: MonomialTable, ws: Iterable[str], n: int) -> RowSpace:
     with its rows keyed by the ids of the given table."""
     g = table.graph
     wlist = list(ws)
+    for v in wlist:
+        g._check_vertex(v)
     if not is_hereditary(g, wlist):
         raise NotHereditary(f"{sorted(set(wlist))} is not hereditary")
     space = RowSpace(table)

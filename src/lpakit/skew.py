@@ -93,7 +93,7 @@ def _generators(table: MonomialTable, n: int) -> list[tuple]:
 
 def _generator(table: MonomialTable, k: int) -> Element:
     """The skew generator m - m^* for the id k of m: {k: 1} in skew coordinates."""
-    return table.element(_monomial_ids(table, {k: 1}))
+    return table.element(_monomial_ids(table, {k: 1}), 1)
 
 
 def skew_basis(g: Graph, n: int) -> list[Element]:
@@ -276,7 +276,7 @@ def _pairs_by_grade(table: MonomialTable, gens: list[tuple]) -> dict[int, list[i
 
 
 def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> BracketWitness:
-    value = table.element(_monomial_ids(table, vec))
+    value = table.element(_monomial_ids(table, vec), 1)
     return BracketWitness(_generator(table, a), _generator(table, b), value)
 
 
@@ -356,22 +356,24 @@ def _bracket_pass(
 def bracket_space(g: Graph, n: int) -> BracketSpace:
     """Row-reduced span of all pairwise brackets of the skew slice.
 
-    Each bucket of the pass (_bracket_pass) is reduced on its own before it
-    is dropped: _monomial_ids keeps each pivot row's pivot, gcd and
-    positive lead, so the bucket's pivot rows become pivot rows of its span
-    in monomial ids, whose reduced rows have the same pivots.  Buckets
-    have disjoint supports, so the reduced rows of all buckets, merged by
-    pivot, are the unique reduced rows of the whole span."""
-    rows: list[tuple[int, dict]] = []
+    Each bucket of the pass (_bracket_pass) is reduced in skew coordinates
+    before it is dropped, and _monomial_ids takes its reduced rows to
+    monomial ids.  That keeps each row's pivot, gcd and lead and adds
+    entries only at ids star(k), never skew-coordinate ids and so never
+    pivots, so by uniqueness the mapped rows are the reduced rows of the
+    bucket's span in monomial ids.  Buckets have disjoint supports, so the
+    reduced rows of all buckets, merged by pivot, are those of the span."""
+    rows: list[tuple[int, Element]] = []
 
     def reduce(space: RowSpace) -> None:
-        full = RowSpace(space.table)
-        full.pivots = {k: _monomial_ids(space.table, row) for k, row in space.pivots.items()}
-        rows.extend(zip(sorted(full.pivots), full.reduced_rows()))
+        table = space.table
+        for row in space.reduced_rows():
+            pivot, lead = next(iter(row.items()))
+            rows.append((pivot, table.element(_monomial_ids(table, row), lead)))
 
     _bracket_pass(g, n, visit=reduce)
     rows.sort(key=itemgetter(0))
-    return BracketSpace(n, tuple(Element(g, row) for _, row in rows))
+    return BracketSpace(n, tuple(x for _, x in rows))
 
 
 def first_nonzero_bracket(g: Graph, n: int) -> BracketWitness | None:

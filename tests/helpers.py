@@ -8,6 +8,7 @@ implementations on small inputs.
 
 from __future__ import annotations
 
+import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -169,7 +170,19 @@ class ElementSpan:
         return self.space.rank
 
     def reduced_rows(self) -> list[dict]:
-        return self.space.reduced_rows()
+        return fraction_rows(self.space)
+
+
+def fraction_rows(space: RowSpace) -> list[dict[Monomial, Fraction]]:
+    """The reduced rows of an integer RowSpace as rational rows with pivot
+    coefficient 1, keyed by decoded monomials in increasing id order: each
+    entry c of a row with lead L becomes Fraction(c, L)."""
+    monomial = space.table.monomial
+    rows = []
+    for row in space.reduced_rows():
+        lead = next(iter(row.values()))
+        rows.append({monomial(k): Fraction(c, lead) for k, c in row.items()})
+    return rows
 
 
 def span(elements) -> ElementSpan:
@@ -1018,13 +1031,20 @@ def single_space_bracket_pass(g: Graph, n: int, probe: int = -1):
     return space, witness, low
 
 
-def single_space_bracket_rows(g: Graph, n: int) -> tuple[Element, ...]:
-    """bracket_space's basis from single_space_bracket_pass: the pivot rows
-    taken to monomial ids in one RowSpace and fully reduced there."""
-    space = single_space_bracket_pass(g, n)[0]
+def monomial_id_space(space: RowSpace) -> RowSpace:
+    """A RowSpace on space's table whose pivot rows are space's pivot rows,
+    in skew coordinates, taken to monomial ids: _monomial_ids keeps each
+    row's pivot, gcd and lead, so they are pivot rows of the span there."""
     full = RowSpace(space.table)
     full.pivots = {k: _monomial_ids(space.table, row) for k, row in space.pivots.items()}
-    return rows_as_elements(g, full)
+    return full
+
+
+def single_space_bracket_rows(g: Graph, n: int) -> tuple[Element, ...]:
+    """bracket_space's basis from single_space_bracket_pass: the pivot rows
+    taken to monomial ids in one RowSpace (monomial_id_space), fully reduced
+    there and read as Fractions (rows_as_elements)."""
+    return rows_as_elements(g, monomial_id_space(single_space_bracket_pass(g, n)[0]))
 
 
 def single_space_containment(core, brackets: RowSpace, n: int, slack: int) -> ContainmentReport:
@@ -1059,7 +1079,10 @@ def containment_oracle(g: Graph, core, n: int, slack: int) -> ContainmentReport:
 
 
 def rows_as_elements(g: Graph, space) -> tuple[Element, ...]:
-    return tuple(Element(g, row) for row in space.reduced_rows())
+    """The reduced rows of a RowSpace (through fraction_rows) or of a
+    FractionRowSpace, each built as an Element from its rational terms."""
+    rows = fraction_rows(space) if isinstance(space, RowSpace) else space.reduced_rows()
+    return tuple(Element(g, row) for row in rows)
 
 
 def vertex_sum(g: Graph) -> Element:
@@ -1346,3 +1369,43 @@ def graph_texts(draw) -> str:
     pads = st.sampled_from([""] * 8 + [" ", "\t", "\r", "\xa0", "\x0b", "\x0c"])
     return "".join(draw(pads) + sep.join(tokens) + draw(pads) + end
                    for tokens, sep, end in zip(lines, seps, ends))
+
+
+# -- the size of src/ --------------------------------------------------------------
+
+SOURCES = sorted((CORPUS.parent / "src" / "lpakit").glob("*.py"))
+DOCSTRING_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def line_split(source: str) -> dict[str, int]:
+    """The lines of a Python source, as wc -l counts them, split into code,
+    docstring, comment and blank.  A docstring is the first statement of a
+    module, class or function body when it is a string (ast), and all its
+    lines are docstring lines but the blank ones; a comment line starts
+    with "#" after its indentation; a blank line holds only white space,
+    inside a docstring too; every other line is code."""
+    docstring_lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, DOCSTRING_OWNERS) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstring_lines.update(range(first.lineno, first.end_lineno + 1))
+    split = dict.fromkeys(("code", "docstring", "comment", "blank"), 0)
+    for number, line in enumerate(source.split("\n")[:-1], 1):  # wc -l counts newlines
+        text = line.strip()
+        if not text:
+            split["blank"] += 1
+        elif number in docstring_lines:
+            split["docstring"] += 1
+        elif text.startswith("#"):
+            split["comment"] += 1
+        else:
+            split["code"] += 1
+    return split
+
+
+def src_line_split() -> dict[str, int]:
+    """line_split summed over src/lpakit/*.py: the split of ROADMAP aim 2."""
+    splits = [line_split(path.read_text()) for path in SOURCES]
+    return {kind: sum(split[kind] for split in splits) for kind in splits[0]}

@@ -25,6 +25,7 @@ from helpers import (
     graph_texts,
     intern,
     load,
+    monomial_id_space,
     multigraphs,
     normal_form_oracle,
     orthogonal_idempotent_family,
@@ -43,6 +44,7 @@ from lpakit.algebra import (
     Monomial,
     MonomialTable,
     NotHereditary,
+    RowSpace,
     basis_monomials,
     dimension,
     edge_element,
@@ -60,10 +62,10 @@ from lpakit.algebra import (
     zero,
     _ideal_space,
 )
-from lpakit.classify import classify
-from lpakit.graph import Graph, GraphError, parse_graph
+from lpakit.classify import classify, hereditary_closure
+from lpakit.graph import Graph, GraphError, UnknownVertex, parse_graph
 from lpakit.laurent import LaurentMatrix, LaurentPoly
-from lpakit.skew import bracket, _bracket_pass
+from lpakit.skew import bracket, bracket_space, _bracket_pass, _monomial_ids
 
 
 # -- monomials and normal forms ---------------------------------------------------
@@ -513,6 +515,17 @@ def test_law_checks_make_no_fraction(corpus):
     assert _fractions_module_calls(lambda: str(triples[0][0])) > 0  # the count sees Fractions
 
 
+def test_bracket_and_ideal_spans_make_no_fraction(corpus):
+    # reduced rows stay int id vectors up to MonomialTable.element
+    rows = []
+    for name, g in sorted(corpus.items()):
+        ws = hereditary_closure(g, [g.vertices[-1]])
+        calls = _fractions_module_calls(
+            lambda: rows.extend([*bracket_space(g, 3).basis, *ideal_span(g, ws, 3)]))
+        assert calls == 0, name
+    assert rows
+
+
 def test_normal_form_of_int_items_has_fraction_coefficients(toeplitz, fork2):
     for g in (toeplitz, fork2):
         projections = [Monomial(make_path(g, [e]), make_path(g, [e])) for e in g.edge_map]
@@ -752,9 +765,29 @@ def test_reduced_rows_leaves_the_space_as_it_was(corpus):
         assert space.rank == rank == len(rows)
         assert [(k, dict(row)) for k, row in space.pivots.items()] == pivots
         assert space.reduced_rows() == rows
+        # canonical rows: by pivot, primitive, a positive lead first, ids
+        # increasing, and no other row's pivot
+        leads = [next(iter(row.items())) for row in rows]
+        assert [k for k, _ in leads] == sorted(space.pivots)
+        for row, (k, lead) in zip(rows, leads):
+            assert lead > 0 and gcd(*row.values()) == 1 and list(row) == sorted(row)
+            assert not set(row) & space.pivots.keys() - {k}
     # the bracket pass leaves pivot columns in row tails for reduced_rows to clear
     assert any(k in space.pivots for space in buckets
                for p, row in space.pivots.items() for k in row if k != p)
+    # bracket_space reduces each bucket in skew coordinates, then maps the
+    # rows to monomial ids: those are the reduced rows of the mapped pivot rows
+    mapped = []
+
+    def check(space: RowSpace) -> None:
+        got = [list(_monomial_ids(space.table, row).items()) for row in space.reduced_rows()]
+        assert got == [list(row.items()) for row in monomial_id_space(space).reduced_rows()]
+        mapped.append(len(got))
+
+    for g in corpus.values():
+        for n in range(4):
+            _bracket_pass(g, n, visit=check)
+    assert sum(mapped) > 100
 
 
 def test_element_in_span(fork2):
@@ -787,6 +820,10 @@ def test_ideal_span_toeplitz_slice(toeplitz):
 def test_ideal_span_rejects_non_hereditary(toeplitz):
     with pytest.raises(NotHereditary):
         ideal_span(toeplitz, ["v"], 2)
+    # a name that is no vertex is refused, as hereditary_closure refuses it
+    for ws in (["typo"], ["w", "typo"]):
+        with pytest.raises(UnknownVertex):
+            ideal_span(toeplitz, ws, 2)
 
 
 def test_ideal_slice_absorbs_products(rng, toeplitz):

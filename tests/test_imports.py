@@ -1,14 +1,14 @@
-"""Import hygiene of the package: every module-level import is used, and
-every name the benchmark's tracer wraps is still there."""
+"""Hygiene of the package source: every module-level import is used,
+every name the benchmark's tracer wraps is still there, and its lines
+split into code, docstring, comment and blank lines by one written rule."""
 
 import ast
 import importlib
+import subprocess
 
 import pytest
 
-from helpers import CORPUS
-
-SOURCES = sorted((CORPUS.parent / "src" / "lpakit").glob("*.py"))
+from helpers import CORPUS, SOURCES, line_split, src_line_split
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +75,17 @@ def test_every_traced_name_resolves():
     assert [x for x in names if not resolves(*x)] == []
     assert not resolves("lpakit.algebra", "no_such_name")
     assert not resolves("lpakit.algebra", "RowSpace.table")
+
+
+def test_line_split_follows_its_rule():
+    source = ('x = 1\n"""not a docstring"""\n\n'
+              'class A:\n    """Doc.\n\n    More."""\n    # note\n    y = 2  # code\n')
+    assert line_split(source) == {"code": 4, "docstring": 2, "comment": 1, "blank": 2}
+
+
+def test_src_line_split_counts_every_line():
+    wc = subprocess.run("cat src/lpakit/*.py | wc -l", shell=True, cwd=CORPUS.parent,
+                        capture_output=True, text=True, check=True)
+    split = src_line_split()
+    assert sum(split.values()) == int(wc.stdout)
+    assert all(split.values())
