@@ -12,11 +12,18 @@ bad input (unreadable file, parse error, an undefined question such as the
 dimension of a cyclic graph), 3 an internal self-check failed (a relation
 table did not verify).  JSON output is schema-stable and key-sorted so runs
 are byte-identical.
+
+main runs the command with the cyclic garbage collector paused.  lpakit's
+graphs, tuples, int vectors and Elements hold no reference cycles, so the
+collector frees nothing, yet it took about a fifth of classify and inspect
+on a 10^4-vertex graph; tests/test_cli.py::test_commands_leave_no_cyclic_garbage
+guards that premise.  Library functions leave the process-wide collector alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from decimal import Decimal
@@ -487,6 +494,10 @@ def main(argv=None) -> int:
         flag = "--witness" if args.witness else "--truncate"
         print(f"{flag} belongs to the evidence and cannot go with --no-evidence", file=sys.stderr)
         return 2
+    # no reference cycles to free (test_commands_leave_no_cyclic_garbage);
+    # the caller's collector state comes back on every way out
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a reader that closed the pipe shows up here at the latest
@@ -503,6 +514,9 @@ def main(argv=None) -> int:
     except (GraphError, ClassifyError, AlgebraError, SkewError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ parse_graph reads it, and serialize_graph in tests/helpers.py writes it back.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, NamedTuple, Sequence
 
 _NAME = "[A-Za-z0-9_]+"
@@ -488,23 +488,23 @@ def _component_cycles(g: Graph, vs: list[str], left: int,
     vertices vs are in declaration order: the cycles of each start vertex,
     as edge-name tuples.  Raises TooManyCycles past `left` cycles in all.
 
-    The next start is the least vertex, at or after the current one, that
-    lies in a nontrivial component of the subgraph those vertices induce.
+    The first start is vs[0], since vs is one strong component of g.  Each
+    later start is the least vertex past the previous one that lies in a
+    nontrivial component of the subgraph induced on the vertices past it.
     """
     targets, names = _local_arcs(g, vs)
     n = len(vs)
     out: list[tuple[str, list[tuple[str, ...]]]] = []
-    s = 0
+    comp, s = [0] * n, 0
     while s < n:
-        comp = _tarjan(targets, s)
-        size = Counter(comp)
-        s = next((v for v in range(s, n) if size[comp[v]] > 1 or v in targets[v]), n)
-        if s == n:
-            break
         found = _circuits(targets, names, comp, s, left, max_count)
         left -= len(found)
         out.append((vs[s], found))
         s += 1
+        if s < n:
+            comp = _tarjan(targets, s)
+            size = Counter(comp)
+            s = next((v for v in range(s, n) if size[comp[v]] > 1 or v in targets[v]), n)
     return out
 
 
@@ -519,7 +519,7 @@ def _circuits(targets: list[list[int]], names: list[list[str]], comp: list[int],
     """
     k = comp[s]
     blocked = [False] * len(targets)
-    blist: dict[int, list[int]] = {}
+    blist: defaultdict[int, list[int]] = defaultdict(list)
     found: list[tuple[str, ...]] = []
     path = [s]
     trail: list[str] = []  # the edge names along path
@@ -561,7 +561,7 @@ def _circuits(targets: list[list[int]], names: list[list[str]], comp: list[int],
             else:
                 for w in ts:
                     if comp[w] == k:
-                        blist.setdefault(w, []).append(v)
+                        blist[w].append(v)
             if path:
                 trail.pop()
     return found

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import CORPUS, corpus_names, graph_texts, serialize_graph
 
 import lpakit
-from lpakit.cli import _render_classification, _write_json, main
+from lpakit.cli import _render_classification, _write_json, build_parser, main
 from lpakit.graph import Graph
 
 
@@ -415,6 +416,68 @@ def test_self_check_failure_exits_3(monkeypatch, capsys):
     assert code == 3 and "self-check" in err
 
 
+def test_main_runs_the_command_with_the_collector_paused(monkeypatch, capsys):
+    import lpakit.cli as cli_mod
+
+    seen = []
+    monkeypatch.setattr(cli_mod, "cmd_inspect", lambda args: seen.append(gc.isenabled()) or 0)
+    assert run_cli("inspect", GRAPH, capsys=capsys)[0] == 0
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+@pytest.mark.parametrize("argv, sabotage, code", [
+    (["inspect", GRAPH], False, 0),
+    (["inspect", "no/such/file.graph"], False, 2),
+    (["classify", GRAPH], True, 3),
+    (["inspect", GRAPH, "--max-cycles", "0"], False, "SystemExit(2)"),
+], ids=["exit-0", "exit-2", "exit-3", "argparse"])
+def test_main_leaves_the_collector_as_the_caller_had_it(monkeypatch, capsys, argv, sabotage,
+                                                         code, enabled):
+    import lpakit.cli as cli_mod
+
+    if sabotage:  # as in test_self_check_failure_exits_3
+        monkeypatch.setattr(cli_mod, "validate_classification", lambda g, cls: False)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            got = f"SystemExit({exc.code})"
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (got, after) == (code, enabled)
+
+
+def _garbage_after(run) -> int:
+    """The objects gc.collect() finds after run() ran with the collector
+    paused."""
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_commands_leave_no_cyclic_garbage(capsys, name):
+    # main pauses the collector because lpakit builds no reference cycles:
+    # a command leaves no more cyclic garbage than parsing its arguments does
+    path = str(CORPUS / f"{name}.graph")
+    for argv in (["classify", path, "--truncate", "3", "--witness", "--json"],
+                 ["classify", path, "--no-evidence"],
+                 ["inspect", path, "--json"],
+                 ["algebra", path, "bracket-dim", "--truncate", "3"]):
+        parsing = _garbage_after(lambda: build_parser().parse_args(argv))
+        running = _garbage_after(lambda: main(argv))
+        capsys.readouterr()
+        assert running <= parsing, (argv, running, parsing)
+
+
 def test_inspect_runs_tarjan_on_the_whole_graph_once(monkeypatch, capsys):
     # Johnson's search runs Tarjan again inside each component; those calls
     # are not counted
@@ -531,3 +594,4 @@ def test_every_run_ends_with_exit_0_2_or_3(tmp_path, capsys, text, argv):
         code = exc.code
     capsys.readouterr()
     assert code in (0, 2, 3), argv
+    assert gc.isenabled(), argv
