@@ -107,8 +107,13 @@ def _extend(p: Path, edge_name: str, target: str) -> Path:
 
 def _numerators(items: Iterable[tuple[Monomial, Scalar]]) -> tuple[list[tuple[Monomial, int]], int]:
     """items (int or Fraction coefficients, as_scalar) as int numerators
-    over the lcm of their denominators, and that lcm."""
+    over the lcm of their denominators, and that lcm.  A monomial whose
+    paths end at different vertices is no spanning monomial (it is 0, as
+    p q^* = p r(p) r(q) q^*), so it is refused as monomial_element does."""
     ratios = [(m, as_scalar(c).as_integer_ratio()) for m, c in items]
+    for (p, q), _ in ratios:
+        if p.target != q.target:
+            raise AlgebraError(f"paths {p} and {q} do not share their range")
     den = lcm(*[d for _, (_, d) in ratios])
     return [(m, n * (den // d)) for m, (n, d) in ratios], den
 
@@ -167,10 +172,12 @@ class Element:
     __slots__ = ("graph", "nums", "den")
 
     def __init__(self, graph: Graph, terms: dict[Monomial, Scalar]):
-        """From a term map (_numerators), whose lcm denominator leaves no
-        common factor."""
-        work, self.den = _numerators(terms.items())
-        self.graph, self.nums = graph, {m: n for m, n in work if n}
+        """From a term map, rewritten onto the basis as from_terms does; the
+        work list is reversed, since _rewrite pops from its end, so that a
+        map of basis monomials keeps its order."""
+        work, den = _numerators(terms.items())
+        x = Element._of(graph, _rewrite(graph, work[::-1]), den)
+        self.graph, self.nums, self.den = graph, x.nums, x.den
 
     @classmethod
     def _of(cls, graph: Graph, nums: dict[Monomial, int], den: int) -> "Element":
@@ -328,7 +335,8 @@ def _raw_mul(m1: Monomial, m2: Monomial) -> Monomial | None:
 
 
 def monomial_mul(g: Graph, m1: Monomial, m2: Monomial) -> Element:
-    """Normalized product of two monomials."""
+    """Normalized product of two monomials, kept for verify_cycle_iso, which
+    ran 12% slower through Element.__mul__ (ROADMAP, settled decisions)."""
     m = _raw_mul(m1, m2)
     return Element._of(g, {} if m is None else _rewrite(g, [(m, 1)]), 1)
 

@@ -10,7 +10,8 @@ the commutator space [K, K], on algebra's integer core:
 * _pairs_by_grade: the pairs whose bracket can be nonzero, by grade;
 * _generator_bracket: one such bracket in skew coordinates;
 * _bracket_pass: every pair once, a bucket of grades at a time, for
-  bracket_space and _containment, the one containment test;
+  the evidence bundle, bracket_space and _containment, the one
+  containment test, which runs a pass of its own;
 * _monomial_ids: a bracket in monomial ids, where it leaves the pass;
 * first_nonzero_bracket: the first nonzero bracket in degree order;
 * fiber_m2_iso: the 2x2 matrix-unit model carried by a fiber.
@@ -21,7 +22,6 @@ statement about the full infinite-dimensional algebra.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
@@ -281,7 +281,7 @@ def _witness(table: MonomialTable, a: int, b: int, vec: dict[int, int]) -> Brack
 
 
 def _bracket_pass(
-    g: Graph, n: int, probe: int | None = None, visit: Callable[[RowSpace], object] | None = None,
+    g: Graph, n: int, visit: Callable[[RowSpace], object] | None = None,
 ) -> tuple[int, BracketWitness | None]:
     """The rank of the span of all brackets of the degree-<=n skew slice
     and its first nonzero bracket in (total degree, i, j) order.
@@ -295,25 +295,18 @@ def _bracket_pass(
     the pair's grade (_grades), so no memo entry is read across buckets,
     and brackets of different grades have disjoint supports, so the
     buckets' ranks add up.  The witness is built once, after the walk, from
-    the vector of the least key.
+    the vector of the least key.  visit, when given, sees each bucket's
+    RowSpace once it spans the bucket's brackets.
 
-    visit, when given, sees each bucket's RowSpace when it spans the
-    bucket's degree-<=probe brackets (probe defaults to n).  The slices'
-    generators are prefixes of one list (_generators lists by degree), so
-    a bucket adds the pairs of the smaller slice (j below its generator
-    count) first, then the rest, and its space spans each slice in turn.
-
-    Within each of these two parts a one-entry bracket, which RowSpace.add
-    takes without elimination, is added as it comes, and the others after
-    the part's walk, shortest first in a stable sort, so that sparse rows
-    take the pivots (Markowitz 1957).  The witness is read from each vector
-    before it is added, and the span does not depend on the order.
+    A one-entry bracket, which RowSpace.add takes without elimination, is
+    added as it comes, and the others after the bucket's walk, shortest
+    first in a stable sort, so that sparse rows take the pivots (Markowitz
+    1957).  The witness is read from each vector before it is added, and
+    the span does not depend on the order.
     """
-    probe = n if probe is None else probe
     table = MonomialTable(g)
-    gens = _generators(table, max(n, probe))
+    gens = _generators(table, n)
     degs = [x[2] + x[5] for x in gens]
-    main_gens, cut = bisect_right(degs, n), bisect_right(degs, min(n, probe))
     by_grade = _pairs_by_grade(table, gens)
     rank, best = 0, None
     while by_grade:
@@ -322,31 +315,25 @@ def _bracket_pass(
             walk += by_grade.popitem()[1]
         normal: dict[int, dict[int, int]] = {}
         space = RowSpace(table)
-        for smaller in (True, False):
-            # no pair is left for the second part when the slices agree
-            pairs = iter(walk if smaller or cut < len(gens) else ())
-            held: list[dict[int, int]] = []
-            for i, j in zip(pairs, pairs):
-                if (j < cut) != smaller:
-                    continue
-                vec = _generator_bracket(table, gens[i], gens[j], normal)
-                if not vec:
-                    continue
-                if j < main_gens:  # and so i < main_gens
-                    key = degs[i] + degs[j], i, j
-                    if best is None or key < best[0]:
-                        best = key, vec
-                if len(vec) == 1:
-                    space.add(vec)
-                else:
-                    held.append(vec)
-            held.sort(key=len)
-            for vec in held:
+        held: list[dict[int, int]] = []
+        pairs = iter(walk)
+        for i, j in zip(pairs, pairs):
+            vec = _generator_bracket(table, gens[i], gens[j], normal)
+            if not vec:
+                continue
+            key = degs[i] + degs[j], i, j
+            if best is None or key < best[0]:
+                best = key, vec
+            if len(vec) == 1:
                 space.add(vec)
-            if (n <= probe) == smaller:
-                rank += space.rank
-            if visit is not None and (probe <= n) == smaller:
-                visit(space)
+            else:
+                held.append(vec)
+        held.sort(key=len)
+        for vec in held:
+            space.add(vec)
+        rank += space.rank
+        if visit is not None:
+            visit(space)
     if best is None:
         return rank, None
     (_, i, j), vec = best
@@ -468,31 +455,28 @@ def bracket_in_ideal(g: Graph, n: int, slack: int = 2) -> ContainmentReport:
     cls = classify(g)
     if not cls.almost_simple:
         raise NotAlmostSimple("the graph has no almost-simple decomposition")
-    return _containment(g, n, cls.core, n, slack)[2]
+    return _containment(g, cls.core, n, slack)
 
 
-def _containment(
-    g: Graph, n: int, core, probe: int, slack: int,
-) -> tuple[int, BracketWitness | None, ContainmentReport]:
-    """The rank and witness of _bracket_pass(g, n), and whether its
-    degree-<=probe brackets lie in the degree-<=probe+slack slice of the
-    ideal of core, which must be the classifier's and so hereditary.
+def _containment(g: Graph, core, probe: int, slack: int) -> ContainmentReport:
+    """Whether the brackets of the degree-<=probe skew slice lie in the
+    degree-<=probe+slack slice of the ideal of core, which must be the
+    classifier's and so hereditary, by a bracket pass of its own at probe.
 
-    The ideal slice is built once.  Each bucket's probe space is tested
-    before the bucket is dropped: its pivot rows span it, so they are
-    tested unreduced, in monomial ids as the ideal's rows are (ids agree
-    across tables), and the buckets' probe ranks add up."""
+    The ideal slice is built once.  Each bucket's space is tested before
+    the bucket is dropped: its pivot rows span it, so they are tested
+    unreduced, in monomial ids as the ideal's rows are (ids agree across
+    tables)."""
     ideal = _ideal_space(MonomialTable(g), core, probe + slack)
-    probe_rank, contained = 0, True
+    contained = True
 
     def test(space: RowSpace) -> None:
-        nonlocal probe_rank, contained
-        probe_rank += space.rank
+        nonlocal contained
         rows = space.pivots.values()
         contained = contained and all(ideal.contains(_monomial_ids(space.table, r)) for r in rows)
 
-    rank, witness = _bracket_pass(g, n, probe, test)
-    return rank, witness, ContainmentReport(contained, probe_rank, ideal.rank, probe, slack)
+    rank = _bracket_pass(g, probe, test)[0]
+    return ContainmentReport(contained, rank, ideal.rank, probe, slack)
 
 
 @dataclass(frozen=True)
@@ -520,11 +504,8 @@ def lie_simplicity_evidence(g: Graph, n: int) -> EvidenceBundle:
         dim = dimension(g)
     except GraphHasCycle:
         dim = None
-    # the containment probe's degree-2 brackets come from the same pass
-    if cls.almost_simple:
-        rank, witness, containment = _containment(g, n, cls.core, 2, 2)
-    else:
-        (rank, witness), containment = _bracket_pass(g, n), None
+    rank, witness = _bracket_pass(g, n)
+    containment = _containment(g, cls.core, 2, 2) if cls.almost_simple else None
     return EvidenceBundle(
         classification=cls,
         truncation=n,

@@ -293,6 +293,32 @@ def test_monomial_element_rejects_range_mismatch(fork2):
         monomial_element(fork2, ["e1"], ["e2"])
 
 
+def test_element_rewrites_its_term_map_onto_the_basis(toeplitz, corpus):
+    c, e, v = make_path(toeplitz, ["c"]), make_path(toeplitz, ["e"]), toeplitz.vertex_path("v")
+    cc = Monomial(c, c)  # c is special at v: c c^* = v v^* - e e^*
+    x = Element(toeplitz, {cc: 1})
+    assert x == edge_element(toeplitz, "c") * edge_star_element(toeplitz, "c")
+    assert (x - Element.from_terms(toeplitz, [(cc, 1)])).is_zero()
+    half = Fraction(1, 2)
+    z = Element(toeplitz, {Monomial(v, v): half, cc: -half, Monomial(e, e): -half})
+    assert z.is_zero() and z.den == 1
+    # a map of basis monomials keeps its order
+    for g in corpus.values():
+        terms = {m: Fraction(k + 1, 3) for k, m in enumerate(reversed(basis_monomials(g, 2)))}
+        assert list(Element(g, terms).terms.items()) == list(terms.items())
+
+
+def test_monomials_whose_paths_end_apart_are_refused(toeplitz):
+    # e v^* = e w v^* = 0 is no spanning monomial, as monomial_element says
+    ev = Monomial(make_path(toeplitz, ["e"]), toeplitz.vertex_path("v"))
+    with pytest.raises(AlgebraError, match="do not share their range"):
+        Element(toeplitz, {ev: 1})
+    with pytest.raises(AlgebraError, match="do not share their range"):
+        Element.from_terms(toeplitz, [(ev, 1)])
+    with pytest.raises(AlgebraError, match="do not share their range"):
+        normal_form(toeplitz, [(ev, Fraction(1))])
+
+
 def test_subtraction_names_minus_and_defers_to_the_right_operand(toeplitz):
     class Right:
         def __rsub__(self, left):

@@ -345,7 +345,7 @@ def test_bracket_pass_memory_follows_the_largest_bucket(corpus):
     g = corpus["loop_two_exits"]
     tracemalloc.start()
     try:
-        rank = _bracket_pass(g, 5, 2)[0]
+        rank = _bracket_pass(g, 5)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,17 +398,24 @@ def _generator_index(g, gens) -> dict[int, int]:
 
 
 def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
-    # exactly the pairs whose ends meet are evaluated, each once: every other
-    # pair brackets to 0 (test_skipped_pairs_have_four_vanishing_products)
+    # exactly the pairs whose ends meet are evaluated, each once per pass:
+    # every other pair brackets to 0 (test_skipped_pairs_have_four_vanishing_
+    # products).  The bundle runs one pass at n and, on a positive verdict,
+    # the containment probe's own pass at 2, below, at or above n.
     calls = Counter()
-    evaluated = []
+    passes = []
     skew_module = sys.modules["lpakit.skew"]
-    generator_bracket = skew_module._generator_bracket
+    generator_bracket, bracket_pass = skew_module._generator_bracket, skew_module._bracket_pass
+
+    def recorded_pass(g, n, visit=None):
+        passes.append((n, []))
+        return bracket_pass(g, n, visit)
 
     def recorded(table, x, y, normal):
-        evaluated.append((x[0], y[0]))
+        passes[-1][1].append((x[0], y[0]))
         return generator_bracket(table, x, y, normal)
 
+    monkeypatch.setattr(skew_module, "_bracket_pass", recorded_pass)
     monkeypatch.setattr(skew_module, "_generator_bracket", recorded)
     # the package re-exports classify(), which hides the submodule's name
     _count_calls(monkeypatch, calls, skew_module, "classify")
@@ -418,14 +425,15 @@ def test_evidence_bundle_evaluates_each_bracket_once(corpus, monkeypatch):
         g = corpus[name]
         for n in range(4):
             calls.clear()
-            evaluated.clear()
+            passes.clear()
             bundle = lie_simplicity_evidence(g, n)
-            # one pass serves the slice and the degree-2 containment probe
-            probe = 2 if bundle.classification.almost_simple else n
-            gens = skew_basis(g, max(n, probe))
-            index = _generator_index(g, gens)
-            pairs = sorted((index[a], index[b]) for a, b in evaluated)
-            assert pairs == meeting_pairs(gens), (name, n)
+            want = [n, 2] if bundle.classification.almost_simple else [n]
+            assert [d for d, _ in passes] == want, (name, n)
+            for d, evaluated in passes:
+                gens = skew_basis(g, d)
+                index = _generator_index(g, gens)
+                pairs = sorted((index[a], index[b]) for a, b in evaluated)
+                assert pairs == meeting_pairs(gens), (name, n, d)
             assert calls["classify"] == 1, (name, n)
             assert calls["reduced_rows"] == 0, (name, n)
 
@@ -443,27 +451,30 @@ def test_bracket_pass_builds_one_witness(corpus, monkeypatch):
 
 
 def test_evidence_bundle_adds_each_bracket_once(corpus, monkeypatch):
-    # each bracket goes into one RowSpace of its bucket, whether or not the
-    # degree-2 probe's slice is the bracket slice: the bundle adds what the
-    # pass and the degree-4 ideal slice add, on toeplitz at n = 2, 6 + 15.
-    # One-entry brackets are taken without a residue and the rest are added
-    # shortest first, so loop_two_exits at n = 4 computes 3 241 residues,
-    # for adds and containment tests, where arrival order computed 7 689
+    # each bracket goes into one RowSpace of its bucket in each pass that
+    # evaluates it: the bundle adds what the pass at n, on a positive
+    # verdict the containment probe's pass at 2, and the degree-4 ideal
+    # slice add, on toeplitz at n = 2, 6 + 6 + 15.  One-entry brackets are
+    # taken without a residue and the rest are added shortest first, so
+    # loop_two_exits at n = 4 computes 3 225 residues, for adds and
+    # containment tests, where arrival order computed 7 689
     calls = Counter()
     _count_calls(monkeypatch, calls, RowSpace, "add")
     _count_calls(monkeypatch, calls, RowSpace, "_residue")
-    cases = (("toeplitz", 2, 21), ("loop_two_exits", 2, 477))
-    cases += (("toeplitz", 4, 56), ("loop_two_exits", 4, 7583))
+    cases = (("toeplitz", 2, 27), ("loop_two_exits", 2, 609))
+    cases += (("toeplitz", 4, 62), ("loop_two_exits", 4, 7715))
     for name, n, want in cases:
         g = corpus[name]
         calls.clear()
-        core = lie_simplicity_evidence(g, n).classification.core
+        cls = lie_simplicity_evidence(g, n).classification
         assert calls["add"] == want, (name, n)
         if (name, n) == ("loop_two_exits", 4):
-            assert calls["_residue"] == 3241
+            assert calls["_residue"] == 3225
         calls.clear()
         _bracket_pass(g, n)
-        _ideal_space(MonomialTable(g), core, 4)
+        if cls.almost_simple:
+            _bracket_pass(g, 2)
+            _ideal_space(MonomialTable(g), cls.core, 4)
         assert calls["add"] == want, (name, n)
 
 
